@@ -7,7 +7,7 @@
 #   ./ci.sh            # run the whole matrix
 #   ./ci.sh plain      # one leg: plain | asan | tsan | chaos | durability
 #                      #          | throughput | flashcrowd | fragments
-#                      #          | sharding | dispatch
+#                      #          | sharding | dispatch | perfbench
 #   ./ci.sh quick      # fast pre-push check: plain build, unit tests only
 #
 # Each leg configures its own build tree (build-ci-*) so the matrices never
@@ -156,6 +156,20 @@ leg_throughput() {
   echo "=== [throughput] OK ==="
 }
 
+# Perfbench leg: builds the benchmark package (perfbench/, its own CMake
+# project over src/) and runs its self-tests, then compiles the benchmark
+# binary too: it reads the subsystems' stats() structs by field name, so
+# drift in that API fails here instead of in a benchmark run.
+leg_perfbench() {
+  local root="build-ci-perfbench"
+  echo "=== [perfbench] build + self-tests ==="
+  CARGO_TARGET_DIR="${root}" python3 perfbench/run.py --selftest
+  echo "=== [perfbench] build nagano_bench ==="
+  cmake --build "${root}/perfbench" -j "${JOBS}" --target nagano_bench \
+        -- -k > /dev/null
+  echo "=== [perfbench] OK ==="
+}
+
 case "${1:-all}" in
   plain) leg_plain ;;
   quick) leg_quick ;;
@@ -168,9 +182,10 @@ case "${1:-all}" in
   fragments) leg_fragments ;;
   sharding) leg_sharding ;;
   dispatch) leg_dispatch ;;
+  perfbench) leg_perfbench ;;
   all)   leg_plain; leg_asan; leg_tsan; leg_chaos; leg_durability
          leg_throughput; leg_flashcrowd; leg_fragments; leg_sharding
-         leg_dispatch ;;
-  *) echo "usage: $0 [plain|quick|asan|tsan|chaos|durability|throughput|flashcrowd|fragments|sharding|dispatch|all]" >&2; exit 2 ;;
+         leg_dispatch; leg_perfbench ;;
+  *) echo "usage: $0 [plain|quick|asan|tsan|chaos|durability|throughput|flashcrowd|fragments|sharding|dispatch|perfbench|all]" >&2; exit 2 ;;
 esac
 echo "ci.sh: all requested legs passed"

@@ -65,18 +65,7 @@ ObjectCache::ObjectCache(Options options)
 
   const auto scope = metrics::Scope::Resolve(options.metrics, "cache");
   instance_ = scope.labels.empty() ? std::string() : scope.labels[0].second;
-  hits_ = scope.GetCounter("nagano_cache_hits_total", "cache lookups served");
-  misses_ = scope.GetCounter("nagano_cache_misses_total", "cache lookups missed");
-  inserts_ = scope.GetCounter("nagano_cache_inserts_total", "new entries stored");
-  updates_ = scope.GetCounter("nagano_cache_updates_in_place_total",
-                              "entries refreshed without invalidation");
-  invalidations_ =
-      scope.GetCounter("nagano_cache_invalidations_total", "entries dropped");
-  evictions_ =
-      scope.GetCounter("nagano_cache_evictions_total", "LRU evictions");
-  plans_patched_ = scope.GetCounter(
-      "nagano_cache_plans_patched_total",
-      "composition plans refreshed by fragment swap (no page re-render)");
+  cells_.Register(scope);
   entries_gauge_ = scope.GetGauge("nagano_cache_entries", "resident entries");
   bytes_gauge_ = scope.GetGauge("nagano_cache_bytes", "resident bytes");
 }
@@ -94,10 +83,10 @@ std::shared_ptr<const CachedObject> ObjectCache::Lookup(std::string_view key) {
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto it = shard.map.find(std::string(key));
   if (it == shard.map.end() || it->second.object->stale) {
-    misses_->Increment();
+    cells_.misses->Increment();
     return nullptr;
   }
-  hits_->Increment();
+  cells_.hits->Increment();
   it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
   return it->second.object;
 }
@@ -158,13 +147,13 @@ uint64_t ObjectCache::Store(std::string_view key,
     if (it->second.object->stale) {
       // Revival: the entry was logically absent, so this is an insert.
       --shard.stale;
-      inserts_->Increment();
+      cells_.inserts->Increment();
       entries_gauge_->Add(1.0);
     } else {
-      updates_->Increment();
+      cells_.updates_in_place->Increment();
     }
   } else {
-    inserts_->Increment();
+    cells_.inserts->Increment();
     entries_gauge_->Add(1.0);
   }
 
@@ -230,8 +219,8 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
                     static_cast<double>(old_footprint));
   it->second.object = std::move(obj);
   it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
-  updates_->Increment();
-  plans_patched_->Increment();
+  cells_.updates_in_place->Increment();
+  cells_.plans_patched->Increment();
   if (capacity_bytes_ != 0) {
     EvictLocked(shard, capacity_bytes_ / shards_.size());
   }
@@ -260,7 +249,7 @@ uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
                     static_cast<double>(old_footprint));
   it->second.object = std::move(obj);
   it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
-  updates_->Increment();
+  cells_.updates_in_place->Increment();
 
   if (capacity_bytes_ != 0) {
     // May evict `it` itself when the grown body blows the budget.
@@ -291,7 +280,7 @@ bool ObjectCache::InvalidateLocked(
     bytes_gauge_->Add(-static_cast<double>(footprint));
     shard.map.erase(it);
   }
-  invalidations_->Increment();
+  cells_.invalidations->Increment();
   entries_gauge_->Add(-1.0);
   return true;
 }
@@ -355,7 +344,7 @@ void ObjectCache::EvictLocked(Shard& shard, size_t budget) {
     const bool was_stale = victim->second.object->stale;
     shard.bytes -= footprint;
     shard.map.erase(victim);
-    evictions_->Increment();
+    cells_.evictions->Increment();
     // A stale retention already left the live-entry gauge at invalidation.
     if (was_stale) {
       --shard.stale;
@@ -369,14 +358,7 @@ void ObjectCache::EvictLocked(Shard& shard, size_t budget) {
 CacheStats ObjectCache::stats() const {
   // Thin snapshot view over the registry cells; entries/bytes come from the
   // shard maps themselves so the legacy accessor stays exact.
-  CacheStats total;
-  total.hits = hits_->value();
-  total.misses = misses_->value();
-  total.inserts = inserts_->value();
-  total.updates_in_place = updates_->value();
-  total.invalidations = invalidations_->value();
-  total.evictions = evictions_->value();
-  total.plans_patched = plans_patched_->value();
+  CacheStats total = cells_.Snapshot();
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);

@@ -132,16 +132,23 @@ inline std::vector<std::shared_ptr<const std::string>> BodyChunkRefs(
   return refs;
 }
 
+// Every CacheStats counter, declared once (see common/metrics.h).
+// plans_patched counts PatchPlan refreshes: the fragment-first DUP fast path.
+#define NAGANO_CACHE_METRICS(X)                                               \
+  X(Counter, hits, "nagano_cache_hits_total", "cache lookups served")         \
+  X(Counter, misses, "nagano_cache_misses_total", "cache lookups missed")     \
+  X(Counter, inserts, "nagano_cache_inserts_total", "new entries stored")     \
+  X(Counter, updates_in_place, "nagano_cache_updates_in_place_total",         \
+    "entries refreshed without invalidation")                                 \
+  X(Counter, invalidations, "nagano_cache_invalidations_total",               \
+    "entries dropped")                                                        \
+  X(Counter, evictions, "nagano_cache_evictions_total", "LRU evictions")      \
+  X(Counter, plans_patched, "nagano_cache_plans_patched_total",               \
+    "composition plans refreshed by fragment swap (no page re-render)")
+
 struct CacheStats {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t inserts = 0;
-  uint64_t updates_in_place = 0;
-  uint64_t invalidations = 0;
-  uint64_t evictions = 0;
-  // Composition plans refreshed by PatchPlan (fragment swap without page
-  // re-render) — the fragment-first DUP fast path.
-  uint64_t plans_patched = 0;
+  NAGANO_METRIC_FIELDS(NAGANO_CACHE_METRICS)
+  // Derived from the shard maps at snapshot time, not from registry cells.
   size_t entries = 0;       // live entries; stale retentions not included
   size_t stale_entries = 0; // invalidated-but-retained last-known-good copies
   size_t bytes = 0;
@@ -296,13 +303,8 @@ class ObjectCache {
   // Registry-owned cells; stats() is a thin snapshot view over them.
   // Increments happen under the owning shard's lock, so per-metric relaxed
   // atomics are plenty.
-  metrics::Counter* hits_;
-  metrics::Counter* misses_;
-  metrics::Counter* inserts_;
-  metrics::Counter* updates_;
-  metrics::Counter* invalidations_;
-  metrics::Counter* evictions_;
-  metrics::Counter* plans_patched_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_CACHE_METRICS, CacheStats);
+  Cells cells_;
   metrics::Gauge* entries_gauge_;
   metrics::Gauge* bytes_gauge_;
 };

@@ -65,13 +65,7 @@ ServingFabric::ServingFabric(FabricOptions options)
       clock_(options_.clock),
       faults_(options_.faults) {
   const auto scope = metrics::Scope::Resolve(options_.metrics, "fabric");
-  requests_ =
-      scope.GetCounter("nagano_fabric_requests_total", "requests routed");
-  served_ = scope.GetCounter("nagano_fabric_served_total", "requests served");
-  failed_ = scope.GetCounter("nagano_fabric_failed_total",
-                             "requests no complex could serve");
-  retries_ = scope.GetCounter("nagano_fabric_retries_total",
-                              "dead-node / dead-dispatcher re-routes");
+  cells_.Register(scope);
   complexes_.reserve(options_.complexes.size());
   for (size_t ci = 0; ci < options_.complexes.size(); ++ci) {
     const ComplexConfig& cc = options_.complexes[ci];
@@ -244,7 +238,7 @@ RequestOutcome ServingFabric::Route(size_t region, TimeNs cpu_cost,
   SyncFaults();
   RequestOutcome out;
   out.region = region;
-  requests_->Increment();
+  cells_.requests->Increment();
 
   // Round-robin DNS hands the client one of the twelve addresses.
   const int address =
@@ -282,14 +276,14 @@ RequestOutcome ServingFabric::Route(size_t region, TimeNs cpu_cost,
     out.response_time = options_.costs.Rtt(region, ci) +
                         retries * options_.retry_penalty + out.queue_delay +
                         cpu_cost + TransferTime(link, bytes);
-    served_->Increment();
-    retries_->Increment(static_cast<uint64_t>(retries));
+    cells_.served->Increment();
+    cells_.retries->Increment(static_cast<uint64_t>(retries));
     return out;
   }
 
   out.retries = retries;
-  failed_->Increment();
-  retries_->Increment(static_cast<uint64_t>(retries));
+  cells_.failed->Increment();
+  cells_.retries->Increment(static_cast<uint64_t>(retries));
   return out;
 }
 
@@ -405,11 +399,7 @@ Status ServingFabric::SetAdvertised(std::string_view complex_name, int address,
 // --- introspection -------------------------------------------------------------
 
 FabricStats ServingFabric::stats() const {
-  FabricStats s;
-  s.requests = requests_->value();
-  s.served = served_->value();
-  s.failed = failed_->value();
-  s.retries = retries_->value();
+  FabricStats s = cells_.Snapshot();
   s.served_by_complex.reserve(complexes_.size());
   for (const auto& cx : complexes_) {
     s.served_by_complex.push_back(cx.served->value());

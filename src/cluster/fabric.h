@@ -73,9 +73,6 @@ struct FabricOptions : OptionsBase {
   static FabricOptions Olympic(RegionCosts costs, const Clock* clock);
 };
 
-// Old name for the options struct, kept for existing call sites.
-using FabricConfig = FabricOptions;
-
 struct RequestOutcome {
   bool served = false;
   size_t complex_index = SIZE_MAX;
@@ -85,11 +82,18 @@ struct RequestOutcome {
   int retries = 0;           // dead-node / dead-dispatcher re-routes
 };
 
+// Every FabricStats counter, declared once (see common/metrics.h).
+#define NAGANO_FABRIC_METRICS(X)                                              \
+  X(Counter, requests, "nagano_fabric_requests_total", "requests routed")     \
+  X(Counter, served, "nagano_fabric_served_total", "requests served")         \
+  X(Counter, failed, "nagano_fabric_failed_total",                            \
+    "requests no complex could serve")                                        \
+  X(Counter, retries, "nagano_fabric_retries_total",                          \
+    "dead-node / dead-dispatcher re-routes")
+
 struct FabricStats {
-  uint64_t requests = 0;
-  uint64_t served = 0;
-  uint64_t failed = 0;
-  uint64_t retries = 0;
+  NAGANO_METRIC_FIELDS(NAGANO_FABRIC_METRICS)
+  // The per-complex family (label complex=<name>), in complex order.
   std::vector<uint64_t> served_by_complex;
 
   double Availability() const {
@@ -188,11 +192,8 @@ class ServingFabric {
   // Last observed state of each fault-plan window rule (edge detection).
   std::unordered_map<const fault::FaultRule*, bool> window_state_;
 
-  // Registry cells behind the legacy stats() view.
-  metrics::Counter* requests_;
-  metrics::Counter* served_;
-  metrics::Counter* failed_;
-  metrics::Counter* retries_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_FABRIC_METRICS, FabricStats);
+  Cells cells_;
 };
 
 }  // namespace nagano::cluster

@@ -5,9 +5,10 @@
 //
 // The paper's §5 evaluation was driven entirely by audited logs and live
 // operator monitoring; this module is the reproduction's equivalent spine:
-// the same cells back the legacy per-subsystem stats() accessors (thin
-// snapshot views), the /metrics·/healthz·/statusz admin surface of the
-// HTTP front end, and the figure benches.
+// the same cells back the per-subsystem stats() snapshots (generated from
+// one declare-once list per subsystem, see the bottom of this file), the
+// /metrics·/healthz·/statusz admin surface of the HTTP front end, and the
+// figure benches.
 //
 // Concurrency contract:
 //  * Counter is a sharded-atomic monotone counter — hot-path increments
@@ -216,4 +217,70 @@ struct Scope {
   Labels With(std::string_view key, std::string_view value) const;
 };
 
+// The value a *Stats snapshot copies out of each cell kind. Gauges a stats
+// struct exposes are resident counts (graph nodes and edges).
+inline uint64_t Read(const Counter& cell) { return cell.value(); }
+inline size_t Read(const Gauge& cell) {
+  return static_cast<size_t>(cell.value());
+}
+inline nagano::Histogram Read(const Histogram& cell) { return cell.snapshot(); }
+
+template <class Cell>
+using StatsValue = decltype(Read(std::declval<const Cell&>()));
+
 }  // namespace nagano::metrics
+
+// --- Declare-once metric lists ---------------------------------------------
+//
+// A subsystem whose stats() snapshot mirrors its registry cells declares
+// each such metric once, as one entry of an X-macro list:
+//
+//   #define NAGANO_CACHE_METRICS(X)
+//     X(Counter, hits, "nagano_cache_hits_total", "cache lookups served")
+//     X(Counter, misses, "nagano_cache_misses_total", "cache lookups missed")
+//     ...
+//
+// (each line of the real list ends in a backslash continuation).
+//
+// An entry is (cell kind: Counter | Gauge | Histogram, *Stats field,
+// Prometheus name, help). The list generates the struct field, the cell
+// pointer, its registration and its snapshot copy:
+//
+//   struct CacheStats { NAGANO_METRIC_FIELDS(NAGANO_CACHE_METRICS) ... };
+//   NAGANO_METRIC_CELLS(Cells, NAGANO_CACHE_METRICS, CacheStats);  // class
+//   Cells cells_;
+//   cells_.Register(scope);                // constructor
+//   CacheStats s = cells_.Snapshot();      // stats()
+//
+// Hot paths keep incrementing the sharded cell directly
+// (cells_.hits->Increment()) with no name or map lookup. Names are spelled
+// out rather than derived from the field because the two already differ
+// (stale_serves is nagano_serve_stale_total) and the exposition is a
+// contract with dashboards, pinned by tests/metrics_identity.golden.
+// Per-label families and cells no stats struct exposes stay hand-written.
+#define NAGANO_METRIC_FIELD_(kind, field, name, help) \
+  ::nagano::metrics::StatsValue<::nagano::metrics::kind> field{};
+#define NAGANO_METRIC_CELL_(kind, field, name, help) \
+  ::nagano::metrics::kind* field = nullptr;
+#define NAGANO_METRIC_REGISTER_(kind, field, name, help) \
+  field = scope.Get##kind(name, help);
+#define NAGANO_METRIC_COPY_(kind, field, name, help) \
+  s.field = ::nagano::metrics::Read(*field);
+
+// The *Stats fields, value-initialised (counters 0, histograms empty).
+#define NAGANO_METRIC_FIELDS(LIST) LIST(NAGANO_METRIC_FIELD_)
+
+// A struct `Name` holding one cell pointer per entry, with Register() to
+// resolve them against a Scope and Snapshot() to copy them into a Stats.
+#define NAGANO_METRIC_CELLS(Name, LIST, Stats)                 \
+  struct Name {                                                \
+    LIST(NAGANO_METRIC_CELL_)                                  \
+    void Register(const ::nagano::metrics::Scope& scope) {     \
+      LIST(NAGANO_METRIC_REGISTER_)                            \
+    }                                                          \
+    Stats Snapshot() const {                                   \
+      Stats s;                                                 \
+      LIST(NAGANO_METRIC_COPY_)                                \
+      return s;                                                \
+    }                                                          \
+  }

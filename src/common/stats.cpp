@@ -39,13 +39,16 @@ Histogram::Histogram() : buckets_(static_cast<size_t>(kOctaves) * kSubBuckets, 0
 
 size_t Histogram::BucketFor(double value) {
   if (value <= 0.0) return 0;
-  // Octave = floor(log2(value)) clamped to [0, kOctaves); sub-bucket is the
-  // linear position within the octave.
+  // Octave = floor(log2(value)) - kMinExponent; sub-bucket is the linear
+  // position within the octave. Out-of-range values take the first or last
+  // bucket whole: a clamped octave must not keep the value's own sub-bucket.
   int exp = 0;
   const double mant = std::frexp(value, &exp);  // value = mant * 2^exp, mant in [0.5,1)
-  int octave = exp - 1;                         // floor(log2(value))
-  if (octave < 0) octave = 0;
-  if (octave >= kOctaves) octave = kOctaves - 1;
+  const int octave = exp - 1 - kMinExponent;
+  if (octave < 0) return 0;
+  if (octave >= kOctaves) {
+    return static_cast<size_t>(kOctaves) * kSubBuckets - 1;
+  }
   const int sub = std::min(kSubBuckets - 1,
                            static_cast<int>((mant - 0.5) * 2.0 * kSubBuckets));
   return static_cast<size_t>(octave) * kSubBuckets + static_cast<size_t>(sub);
@@ -54,7 +57,8 @@ size_t Histogram::BucketFor(double value) {
 double Histogram::BucketUpperBound(size_t index) {
   const size_t octave = index / kSubBuckets;
   const size_t sub = index % kSubBuckets;
-  const double base = std::ldexp(1.0, static_cast<int>(octave));  // 2^octave
+  const double base =
+      std::ldexp(1.0, static_cast<int>(octave) + kMinExponent);  // octave floor
   return base * (1.0 + static_cast<double>(sub + 1) / kSubBuckets);
 }
 

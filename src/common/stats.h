@@ -1,9 +1,8 @@
-// Measurement primitives: counters, mean/variance accumulators, and a
-// log-bucketed histogram with percentile queries. The bench harness builds
-// every figure/table from these.
+// Measurement primitives: mean/variance accumulators, a log-bucketed
+// histogram with percentile queries, and time series. The bench harness
+// builds every figure/table from these.
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -35,8 +34,11 @@ class RunningStat {
 };
 
 // Histogram over non-negative values with geometrically growing buckets
-// (HdrHistogram-style, base-2 with linear sub-buckets). Percentile error is
-// bounded by the sub-bucket resolution (~1.6%).
+// (HdrHistogram-style, base-2 with linear sub-buckets). Octaves run from
+// 2^kMinExponent (just under 1e-6, so sub-millisecond latencies recorded in
+// ms keep their resolution) to 2^(kMinExponent + kOctaves); values outside
+// land in the first or last bucket. Percentile error is bounded by the
+// sub-bucket resolution (~1.6%).
 class Histogram {
  public:
   Histogram();
@@ -59,7 +61,8 @@ class Histogram {
  private:
   static constexpr int kSubBucketBits = 6;  // 64 linear sub-buckets / octave
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
-  static constexpr int kOctaves = 40;       // covers up to ~2^40
+  static constexpr int kMinExponent = -20;  // 2^-20 ~ 9.5e-7
+  static constexpr int kOctaves = 52;       // up to 2^32 ~ 4.3e9
 
   static size_t BucketFor(double value);
   static double BucketUpperBound(size_t index);
@@ -69,16 +72,6 @@ class Histogram {
   double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-// Monotonically increasing thread-safe counter.
-class Counter {
- public:
-  void Increment(uint64_t by = 1) { v_.fetch_add(by, std::memory_order_relaxed); }
-  uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> v_{0};
 };
 
 // Fixed-width time-series accumulator: value[i] accumulates everything

@@ -6,9 +6,6 @@
 namespace nagano::core {
 
 Status SiteOptions::Validate() const {
-  if (cache_shards < 1) {
-    return InvalidArgumentError("SiteOptions.cache_shards must be >= 1");
-  }
   if (db_shards < 1) {
     return InvalidArgumentError("SiteOptions.db_shards must be >= 1");
   }
@@ -105,7 +102,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
   site->graph_ = std::make_unique<odg::ObjectDependenceGraph>(site_metrics);
 
   cache::ObjectCache::Options cache_options;
-  cache_options.shards = site->options_.cache_shards;
   cache_options.capacity_bytes = site->options_.cache_capacity_bytes;
   cache_options.retain_stale = site->options_.retain_stale;
   cache_options.clock = site->clock_;
@@ -124,7 +120,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
 
   if (site->options_.serving_nodes > 0) {
     cache::ObjectCache::Options node_options;
-    node_options.shards = site->options_.cache_shards;
     node_options.clock = site->clock_;
     node_options.metrics = site_metrics;  // fleet appends "/nodeN"
     site->fleet_ = std::make_unique<cache::CacheFleet>(
@@ -292,12 +287,17 @@ Result<size_t> ServingSite::VerifyCacheConsistency() {
             return InternalError("plan for " + key +
                                  " pins a non-flat fragment: " + chunk.fragment);
           }
-          // At quiescence no plan may serve a retired snapshot: the chunk
-          // must pin the very object the fragment's live entry holds.
-          if (cache_->Peek(chunk.fragment) != chunk.source) {
-            return InternalError("plan for " + key +
-                                 " references a retired snapshot of " +
-                                 chunk.fragment);
+          // A pinned snapshot may outlive its live entry (a bounded cache
+          // evicted the fragment, or re-stored the same bytes) and the page
+          // still serves the right bytes — the fresh render below proves
+          // it. At quiescence the plan is wrong only when the fragment's
+          // live entry holds different bytes.
+          if (const auto live = cache_->Peek(chunk.fragment);
+              live != nullptr && live != chunk.source &&
+              live->Materialize() != chunk.bytes()) {
+            return InternalError("plan for " + key + " pins a snapshot of " +
+                                 chunk.fragment +
+                                 " whose bytes differ from the live entry");
           }
         }
         summed += chunk.bytes().size();

@@ -35,7 +35,7 @@ struct SiteOptions : OptionsBase {
   pagegen::OlympicConfig olympic;
   trigger::TriggerOptions trigger;
   server::CostModel costs;
-  size_t cache_shards = 16;
+  // The site's caches use ObjectCache::Options' default shard count.
   size_t cache_capacity_bytes = 0;  // 0 = unbounded, the paper configuration
   // Per-node serving caches behind the composing cache (Fig. 6: eight
   // serving UPs per SP2). 0 = single-cache mode; the trigger monitor then

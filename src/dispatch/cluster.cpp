@@ -14,9 +14,6 @@ Status ClusterOptions::Validate() const {
     return InvalidArgumentError("wal_root is required (warm restart recovers "
                                 "each backend from its own log)");
   }
-  if (front_reactors == 0) {
-    return InvalidArgumentError("front_reactors must be >= 1");
-  }
   return Status::Ok();
 }
 
@@ -104,7 +101,6 @@ Status DispatcherCluster::Start() {
   dispatch_options.faults = options_.faults;
   dispatch_options.metrics.registry = registry_;
   dispatch_options.metrics.instance = instance_;
-  dispatch_options.http.reactors = options_.front_reactors;
   dispatcher_ =
       std::make_unique<Dispatcher>(std::move(addresses), dispatch_options);
   if (Status s = dispatcher_->Start(); !s.ok()) return s;

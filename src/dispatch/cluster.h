@@ -45,10 +45,9 @@ struct ClusterOptions : OptionsBase {
   // Root for the per-backend WAL directories: <wal_root>/b<k>. Required —
   // warm restart recovers each node from its own log.
   std::string wal_root;
-  // Reactors for the dispatcher front end (backends run one reactor each).
-  size_t front_reactors = 1;
-  // Dispatcher knobs (probe cadence, drain grace, failover budget...). The
-  // http options and backend list are filled in by the harness.
+  // Dispatcher knobs (probe cadence, drain grace, front-end reactors...).
+  // The backend list, fault injector and metrics scope are filled in by
+  // the harness; backends run one reactor each.
   DispatcherOptions dispatch;
   // Injector shared by the dispatcher tier and every backend pipeline.
   fault::FaultInjector* faults = nullptr;

@@ -41,12 +41,8 @@ Status DispatcherOptions::Validate() const {
   if (probe_timeout <= 0 || connect_timeout <= 0 || io_timeout <= 0) {
     return InvalidArgumentError("dispatcher socket timeouts must be > 0");
   }
-  if (latency_alpha <= 0.0 || latency_alpha > 1.0 || error_alpha <= 0.0 ||
-      error_alpha > 1.0) {
-    return InvalidArgumentError("EWMA alphas must be in (0, 1]");
-  }
-  if (drain_grace < 0 || drain_deadline <= 0) {
-    return InvalidArgumentError("drain_grace/* deadline */ must be sane");
+  if (drain_grace < 0) {
+    return InvalidArgumentError("drain_grace must be >= 0");
   }
   return Status::Ok();
 }
@@ -111,23 +107,7 @@ Dispatcher::Dispatcher(std::vector<BackendAddress> backends,
     options_.http.metrics.instance = instance_ + "/front";
   }
 
-  requests_ = scope.GetCounter("nagano_dispatch_requests_total",
-                               "requests entering the proxy path");
-  failovers_ = scope.GetCounter("nagano_dispatch_failovers_total",
-                                "requests retried on another backend");
-  no_backend_ = scope.GetCounter("nagano_dispatch_no_backend_total",
-                                 "503s served: no routable backend");
-  proxy_errors_ = scope.GetCounter("nagano_dispatch_proxy_errors_total",
-                                   "502s served: every attempt failed");
-  drains_ = scope.GetCounter("nagano_dispatch_drains_total",
-                             "backend drains initiated");
-  probe_failures_ = scope.GetCounter("nagano_dispatch_probe_failures_total",
-                                     "advisor probes that failed");
-  bytes_to_backends_ = scope.GetCounter("nagano_dispatch_backend_bytes_out_total",
-                                        "request bytes proxied to backends");
-  bytes_from_backends_ =
-      scope.GetCounter("nagano_dispatch_backend_bytes_in_total",
-                       "response bytes proxied from backends");
+  cells_.Register(scope);
 
   backends_.reserve(backends.size());
   for (size_t i = 0; i < backends.size(); ++i) {
@@ -271,7 +251,7 @@ Result<http::HttpResponse> Dispatcher::Forward(
 
 http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
                                      http::ConnectionContext& ctx) {
-  requests_->Increment();
+  cells_.requests->Increment();
   if (request.Path() == "/dispatchz") return DispatchzPage();
 
   // Per-reactor-thread draw stream; the seed offset keeps threads unrelated.
@@ -299,11 +279,11 @@ http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
 
   int exclude = -1;
   Status last_error = Status::Ok();
-  for (size_t attempt = 0; attempt <= options_.failover_attempts; ++attempt) {
+  for (size_t attempt = 0; attempt <= kFailoverAttempts; ++attempt) {
     if (lease == nullptr) {
       const int pick = PickBackend(rng, exclude);
       if (pick < 0) {
-        no_backend_->Increment();
+        cells_.no_backend->Increment();
         return http::HttpResponse::ServiceUnavailable("no routable backend");
       }
       auto fresh = std::make_shared<Lease>();
@@ -331,8 +311,9 @@ http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
       b.obs_ok.fetch_add(1, std::memory_order_relaxed);
       b.obs_lat_ns.fetch_add(static_cast<uint64_t>(std::max<TimeNs>(elapsed, 0)),
                              std::memory_order_relaxed);
-      bytes_to_backends_->Increment(lease->client->last_sent_bytes());
-      bytes_from_backends_->Increment(lease->client->last_received_bytes());
+      cells_.bytes_to_backends->Increment(lease->client->last_sent_bytes());
+      cells_.bytes_from_backends->Increment(
+          lease->client->last_received_bytes());
 
       http::HttpResponse response = std::move(result.value());
       // The backend's keep-alive decision is hop-by-hop too; the front end
@@ -359,10 +340,10 @@ http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
     exclude = static_cast<int>(lease->backend);
     lease = nullptr;
     ctx.user = nullptr;
-    if (attempt < options_.failover_attempts) failovers_->Increment();
+    if (attempt < kFailoverAttempts) cells_.failovers->Increment();
   }
 
-  proxy_errors_->Increment();
+  cells_.proxy_errors->Increment();
   http::HttpResponse response;
   response.status = 502;
   response.reason = "Bad Gateway";
@@ -383,10 +364,10 @@ void Dispatcher::ProbeAll() {
     bool probe_ok = false;
     double probe_lat_ms = 0.0;
     if (!fault::Check(options_.faults, "dispatch", b.site, "probe").ok()) {
-      probe_failures_->Increment();
+      cells_.probe_failures->Increment();
     } else if (fault::ActiveWindow(options_.faults, "dispatch", b.site,
                                    "backend")) {
-      probe_failures_->Increment();
+      cells_.probe_failures->Increment();
       b.prober->Close();
     } else {
       const TimeNs t0 = SteadyNow();
@@ -395,7 +376,7 @@ void Dispatcher::ProbeAll() {
       if (probe_ok) {
         probe_lat_ms = double(SteadyNow() - t0) / double(kMillisecond);
       } else {
-        probe_failures_->Increment();
+        cells_.probe_failures->Increment();
       }
     }
 
@@ -417,11 +398,9 @@ void Dispatcher::ProbeAll() {
       b.ewma_primed = probe_ok || (ok + err) > 0;
     } else {
       if (ok > 0 || probe_ok) {
-        lat_ewma = options_.latency_alpha * lat_sample +
-                   (1.0 - options_.latency_alpha) * lat_ewma;
+        lat_ewma = kEwmaAlpha * lat_sample + (1.0 - kEwmaAlpha) * lat_ewma;
       }
-      err_ewma = options_.error_alpha * err_sample +
-                 (1.0 - options_.error_alpha) * err_ewma;
+      err_ewma = kEwmaAlpha * err_sample + (1.0 - kEwmaAlpha) * err_ewma;
     }
     b.lat_ewma_ms.store(lat_ewma, std::memory_order_relaxed);
     b.err_ewma.store(err_ewma, std::memory_order_relaxed);
@@ -461,7 +440,7 @@ Status Dispatcher::Drain(size_t backend) {
                                    std::string(BackendStateName(expected)) +
                                    ")");
   }
-  drains_->Increment();
+  cells_.drains->Increment();
   // No new assignments from this moment; pinned keep-alive connections keep
   // using the backend through the grace period.
   b.weight.store(0.0, std::memory_order_relaxed);
@@ -470,7 +449,7 @@ Status Dispatcher::Drain(size_t backend) {
   // The lazy unpin: pinned leases see the stale epoch on their next request
   // and re-pick. Client connections are never touched.
   b.epoch.fetch_add(1, std::memory_order_acq_rel);
-  const TimeNs deadline = SteadyNow() + options_.drain_deadline;
+  const TimeNs deadline = SteadyNow() + kDrainDeadline;
   while (b.inflight.load(std::memory_order_acquire) > 0) {
     if (SteadyNow() > deadline) {
       return UnavailableError(b.addr.name +
@@ -540,18 +519,7 @@ std::vector<BackendSnapshot> Dispatcher::snapshots() const {
   return out;
 }
 
-DispatcherStats Dispatcher::stats() const {
-  DispatcherStats s;
-  s.requests = requests_->value();
-  s.failovers = failovers_->value();
-  s.no_backend = no_backend_->value();
-  s.proxy_errors = proxy_errors_->value();
-  s.drains = drains_->value();
-  s.probe_failures = probe_failures_->value();
-  s.bytes_to_backends = bytes_to_backends_->value();
-  s.bytes_from_backends = bytes_from_backends_->value();
-  return s;
-}
+DispatcherStats Dispatcher::stats() const { return cells_.Snapshot(); }
 
 http::HttpResponse Dispatcher::DispatchzPage() const {
   std::string body = "dispatcher " + instance_ + "\n";

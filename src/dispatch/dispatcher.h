@@ -34,7 +34,7 @@
 //
 //  * Failover. A proxy error marks the backend unhealthy on the spot (the
 //    advisor re-admits it on its next successful probe) and the request
-//    retries on a different backend, up to failover_attempts times, before
+//    retries on a different backend, up to kFailoverAttempts times, before
 //    surfacing a 502.
 //
 // Fault sites (subsystem "dispatch", site "<instance>/<backend-name>"):
@@ -83,6 +83,14 @@ struct BackendAddress {
 enum class BackendState : uint8_t { kUp, kDraining, kOut };
 std::string_view BackendStateName(BackendState state);
 
+// EWMA smoothing for the advisor's latency and error-rate folds.
+inline constexpr double kEwmaAlpha = 0.3;
+// Drain(i): bound on waiting for in-flight proxied requests to reach zero
+// once the grace period has passed.
+inline constexpr TimeNs kDrainDeadline = 2 * kSecond;
+// Extra backends tried after a proxy failure before answering 502.
+inline constexpr size_t kFailoverAttempts = 2;
+
 struct DispatcherOptions : OptionsBase {
   // The front end's reactor config (bind address, port, reactors, accept
   // mode, idle sweep...). The dispatcher installs its own ContextHandler.
@@ -97,17 +105,8 @@ struct DispatcherOptions : OptionsBase {
   TimeNs connect_timeout = 500 * kMillisecond;
   TimeNs io_timeout = 2 * kSecond;
 
-  // EWMA smoothing for the advisor's latency / error-rate folds.
-  double latency_alpha = 0.3;
-  double error_alpha = 0.3;
-
-  // Drain(i): grace before the epoch bump unpins keep-alive connections,
-  // then bound on waiting for in-flight proxied requests to reach zero.
+  // Drain(i): grace before the epoch bump unpins keep-alive connections.
   TimeNs drain_grace = 200 * kMillisecond;
-  TimeNs drain_deadline = 2 * kSecond;
-
-  // Extra backends tried after a proxy failure before answering 502.
-  size_t failover_attempts = 2;
 
   // Seeds the per-thread power-of-two-choices draws.
   uint64_t seed = 0x64697370ULL;  // "disp"
@@ -134,15 +133,27 @@ struct BackendSnapshot {
   uint64_t errors = 0;
 };
 
+// Every DispatcherStats counter, declared once (see common/metrics.h).
+#define NAGANO_DISPATCH_METRICS(X)                                            \
+  X(Counter, requests, "nagano_dispatch_requests_total",                      \
+    "requests entering the proxy path")                                       \
+  X(Counter, failovers, "nagano_dispatch_failovers_total",                    \
+    "requests retried on another backend")                                    \
+  X(Counter, no_backend, "nagano_dispatch_no_backend_total",                  \
+    "503s served: no routable backend")                                       \
+  X(Counter, proxy_errors, "nagano_dispatch_proxy_errors_total",              \
+    "502s served: every attempt failed")                                      \
+  X(Counter, drains, "nagano_dispatch_drains_total",                          \
+    "backend drains initiated")                                               \
+  X(Counter, probe_failures, "nagano_dispatch_probe_failures_total",          \
+    "advisor probes that failed")                                             \
+  X(Counter, bytes_to_backends, "nagano_dispatch_backend_bytes_out_total",    \
+    "request bytes proxied to backends")                                      \
+  X(Counter, bytes_from_backends, "nagano_dispatch_backend_bytes_in_total",   \
+    "response bytes proxied from backends")
+
 struct DispatcherStats {
-  uint64_t requests = 0;        // requests entering the proxy path
-  uint64_t failovers = 0;       // retries on a different backend
-  uint64_t no_backend = 0;      // 503s: no routable backend existed
-  uint64_t proxy_errors = 0;    // 502s: every attempt failed
-  uint64_t drains = 0;
-  uint64_t probe_failures = 0;
-  uint64_t bytes_to_backends = 0;
-  uint64_t bytes_from_backends = 0;
+  NAGANO_METRIC_FIELDS(NAGANO_DISPATCH_METRICS)
 };
 
 class Dispatcher {
@@ -167,7 +178,7 @@ class Dispatcher {
   size_t backend_count() const { return backends_.size(); }
 
   // Clean removal: kUp -> kDraining -> (grace, epoch bump, inflight == 0)
-  // -> kOut. Blocks for up to drain_grace + drain_deadline. Returns
+  // -> kOut. Blocks for up to drain_grace + kDrainDeadline. Returns
   // FailedPrecondition if the backend is not kUp, Unavailable if in-flight
   // requests outlived the deadline (the backend stays kDraining).
   Status Drain(size_t backend);
@@ -215,14 +226,8 @@ class Dispatcher {
   bool advisor_stop_ = false;
   std::atomic<bool> running_{false};
 
-  metrics::Counter* requests_;
-  metrics::Counter* failovers_;
-  metrics::Counter* no_backend_;
-  metrics::Counter* proxy_errors_;
-  metrics::Counter* drains_;
-  metrics::Counter* probe_failures_;
-  metrics::Counter* bytes_to_backends_;
-  metrics::Counter* bytes_from_backends_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_DISPATCH_METRICS, DispatcherStats);
+  Cells cells_;
 };
 
 }  // namespace nagano::dispatch

@@ -148,32 +148,7 @@ HttpServer::HttpServer(Handler handler, Options options)
   ValidateOrDie(options_, "HttpServer::Options");
   const auto scope = metrics::Scope::Resolve(options_.metrics, "http");
   instance_ = scope.labels.empty() ? std::string() : scope.labels[0].second;
-  connections_ = scope.GetCounter("nagano_http_connections_accepted_total",
-                                  "TCP connections accepted");
-  connections_closed_ = scope.GetCounter(
-      "nagano_http_connections_closed_total", "TCP connections closed");
-  requests_ =
-      scope.GetCounter("nagano_http_requests_total", "HTTP requests served");
-  parse_errors_ = scope.GetCounter("nagano_http_parse_errors_total",
-                                   "malformed requests rejected");
-  bytes_in_ =
-      scope.GetCounter("nagano_http_bytes_in_total", "request bytes read");
-  bytes_out_ =
-      scope.GetCounter("nagano_http_bytes_out_total", "response bytes written");
-  keepalive_reuses_ =
-      scope.GetCounter("nagano_http_keepalive_reuses_total",
-                       "requests beyond the first on a persistent connection");
-  idle_closed_ = scope.GetCounter(
-      "nagano_http_idle_closed_total",
-      "connections reaped by the idle sweep (slow-loris defense)");
-  write_stalls_ = scope.GetCounter(
-      "nagano_http_write_stalls_total",
-      "connections paused for exceeding max_pending_write_bytes "
-      "(slow-client defense)");
-  body_copies_ = scope.GetCounter(
-      "nagano_http_body_copies_total",
-      "response bodies materialized into the write path instead of served "
-      "by shared reference; zero on a cache-hit-only run");
+  cells_.Register(scope);
 
   reactors_.reserve(options_.reactors);
   for (size_t k = 0; k < options_.reactors; ++k) {
@@ -296,14 +271,14 @@ void HttpServer::Stop() {
   for (auto& r : reactors_) {
     for (auto& [fd, conn] : r->connections) {
       ::close(fd);
-      connections_closed_->Increment();
+      cells_.connections_closed->Increment();
     }
     r->connections.clear();
     {
       std::lock_guard<std::mutex> lock(r->handoff_mutex);
       for (int fd : r->handoff) {
         ::close(fd);
-        connections_closed_->Increment();
+        cells_.connections_closed->Increment();
       }
       r->handoff.clear();
     }
@@ -366,7 +341,7 @@ void HttpServer::SweepIdle(Reactor& r, TimeNs now) {
     }
   }
   for (int fd : victims) {
-    idle_closed_->Increment();
+    cells_.idle_closed->Increment();
     CloseConnection(r, fd);
   }
 }
@@ -394,7 +369,7 @@ void HttpServer::AcceptNew(Reactor& r, int listen_fd) {
       ::close(fd);
       continue;
     }
-    connections_->Increment();
+    cells_.connections_accepted->Increment();
     if (&target == &r) {
       AdoptConnection(r, fd);
     } else {
@@ -475,7 +450,7 @@ void HttpServer::EnqueueResponse(Reactor& r, Connection& conn,
       conn.out.push_back(std::move(body));
     }
   } else if (!response.body.empty()) {
-    body_copies_->Increment();
+    cells_.body_copies->Increment();
     OutChunk body;
     body.owned = std::move(response.body);
     conn.pending += body.owned.size();
@@ -501,9 +476,9 @@ void HttpServer::HandleReadable(Reactor& r, Connection& conn) {
   for (;;) {
     const ssize_t n = ::read(conn.fd, buf, sizeof(buf));
     if (n > 0) {
-      bytes_in_->Increment(static_cast<uint64_t>(n));
+      cells_.bytes_in->Increment(static_cast<uint64_t>(n));
       if (Status s = conn.parser.Feed(std::string_view(buf, size_t(n))); !s.ok()) {
-        parse_errors_->Increment();
+        cells_.parse_errors->Increment();
         HttpResponse bad;
         bad.status = 400;
         bad.reason = "Bad Request";
@@ -539,9 +514,9 @@ bool HttpServer::ProcessParsedRequests(Reactor& r, Connection& conn) {
     if (cap > 0 && conn.pending > cap) break;
     auto request = conn.parser.Next();
     if (!request) break;
-    requests_->Increment();
+    cells_.requests_served->Increment();
     r.requests->Increment();
-    if (conn.served++ > 0) keepalive_reuses_->Increment();
+    if (conn.served++ > 0) cells_.keepalive_reuses->Increment();
     HttpResponse response = context_handler_ != nullptr
                                 ? context_handler_(*request, conn.context)
                                 : handler_(*request);
@@ -589,7 +564,7 @@ void HttpServer::HandleWritable(Reactor& r, Connection& conn) {
       }
       const ssize_t n = ::writev(conn.fd, iov, niov);
       if (n > 0) {
-        bytes_out_->Increment(static_cast<uint64_t>(n));
+        cells_.bytes_out->Increment(static_cast<uint64_t>(n));
         size_t written = static_cast<size_t>(n);
         conn.pending -= std::min(conn.pending, written);
         while (written > 0 && !conn.out.empty()) {
@@ -617,7 +592,7 @@ void HttpServer::HandleWritable(Reactor& r, Connection& conn) {
         const size_t cap = options_.max_pending_write_bytes;
         if (cap > 0 && !conn.read_paused && conn.pending > cap) {
           conn.read_paused = true;
-          write_stalls_->Increment();
+          cells_.write_stalls->Increment();
         }
         if (conn.want_write != was_write || conn.read_paused != was_paused) {
           UpdateEpollMask(r, conn);
@@ -652,23 +627,10 @@ void HttpServer::HandleWritable(Reactor& r, Connection& conn) {
 void HttpServer::CloseConnection(Reactor& r, int fd) {
   ::epoll_ctl(r.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  if (r.connections.erase(fd) != 0) connections_closed_->Increment();
+  if (r.connections.erase(fd) != 0) cells_.connections_closed->Increment();
 }
 
-ServerStats HttpServer::stats() const {
-  ServerStats s;
-  s.connections_accepted = connections_->value();
-  s.connections_closed = connections_closed_->value();
-  s.requests_served = requests_->value();
-  s.parse_errors = parse_errors_->value();
-  s.bytes_in = bytes_in_->value();
-  s.bytes_out = bytes_out_->value();
-  s.keepalive_reuses = keepalive_reuses_->value();
-  s.idle_closed = idle_closed_->value();
-  s.write_stalls = write_stalls_->value();
-  s.body_copies = body_copies_->value();
-  return s;
-}
+ServerStats HttpServer::stats() const { return cells_.Snapshot(); }
 
 std::vector<uint64_t> HttpServer::reactor_requests() const {
   std::vector<uint64_t> out;

@@ -30,25 +30,39 @@
 
 namespace nagano::http {
 
+// Every ServerStats counter, declared once (see common/metrics.h).
+//  * keepalive_reuses is the HTTP/1.1 keep-alive win the paper's front ends
+//    relied on at Olympic load.
+//  * write_stalls counts each time a connection's pending output crossed
+//    max_pending_write_bytes and its reads were paused until the queue
+//    drained.
+//  * body_copies staying zero on a cache-hit-only run is the proof
+//    obligation of the zero-copy hit path.
+#define NAGANO_HTTP_METRICS(X)                                                \
+  X(Counter, connections_accepted, "nagano_http_connections_accepted_total",  \
+    "TCP connections accepted")                                               \
+  X(Counter, connections_closed, "nagano_http_connections_closed_total",      \
+    "TCP connections closed")                                                 \
+  X(Counter, requests_served, "nagano_http_requests_total",                   \
+    "HTTP requests served")                                                   \
+  X(Counter, parse_errors, "nagano_http_parse_errors_total",                  \
+    "malformed requests rejected")                                            \
+  X(Counter, bytes_in, "nagano_http_bytes_in_total", "request bytes read")    \
+  X(Counter, bytes_out, "nagano_http_bytes_out_total",                        \
+    "response bytes written")                                                 \
+  X(Counter, keepalive_reuses, "nagano_http_keepalive_reuses_total",          \
+    "requests beyond the first on a persistent connection")                   \
+  X(Counter, idle_closed, "nagano_http_idle_closed_total",                    \
+    "connections reaped by the idle sweep (slow-loris defense)")              \
+  X(Counter, write_stalls, "nagano_http_write_stalls_total",                  \
+    "connections paused for exceeding max_pending_write_bytes "               \
+    "(slow-client defense)")                                                  \
+  X(Counter, body_copies, "nagano_http_body_copies_total",                    \
+    "response bodies materialized into the write path instead of served "     \
+    "by shared reference; zero on a cache-hit-only run")
+
 struct ServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_closed = 0;
-  uint64_t requests_served = 0;
-  uint64_t parse_errors = 0;
-  uint64_t bytes_in = 0;
-  uint64_t bytes_out = 0;
-  // Requests beyond the first on a persistent connection — the HTTP/1.1
-  // keep-alive win the paper's front ends relied on at Olympic load.
-  uint64_t keepalive_reuses = 0;
-  // Connections reaped by the idle sweep (slow-loris defense).
-  uint64_t idle_closed = 0;
-  // Times a connection's pending output crossed max_pending_write_bytes and
-  // its reads were paused until the queue drained (slow-client defense).
-  uint64_t write_stalls = 0;
-  // Response bodies materialized (copied/assembled) into the write path
-  // instead of served by shared reference. Zero on a cache-hit-only run —
-  // the proof obligation of the zero-copy hit path.
-  uint64_t body_copies = 0;
+  NAGANO_METRIC_FIELDS(NAGANO_HTTP_METRICS)
 };
 
 // How accepted connections reach the reactors when reactors > 1.
@@ -187,16 +201,8 @@ class HttpServer {
 
   // Server-wide counters are registry cells (lock-free increments from any
   // reactor), so the stats() accessor needs no lock.
-  metrics::Counter* connections_;
-  metrics::Counter* connections_closed_;
-  metrics::Counter* requests_;
-  metrics::Counter* parse_errors_;
-  metrics::Counter* bytes_in_;
-  metrics::Counter* bytes_out_;
-  metrics::Counter* keepalive_reuses_;
-  metrics::Counter* idle_closed_;
-  metrics::Counter* write_stalls_;
-  metrics::Counter* body_copies_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_HTTP_METRICS, ServerStats);
+  Cells cells_;
 };
 
 }  // namespace nagano::http

@@ -18,17 +18,13 @@ NodeKind WidenKind(NodeKind a, NodeKind b) {
 ObjectDependenceGraph::ObjectDependenceGraph(
     const metrics::Options& metrics_options) {
   const auto scope = metrics::Scope::Resolve(metrics_options, "odg");
-  nodes_gauge_ = scope.GetGauge("nagano_odg_nodes", "ODG vertices");
-  edges_gauge_ = scope.GetGauge("nagano_odg_edges", "ODG dependence edges");
-  mutations_ =
-      scope.GetCounter("nagano_odg_mutations_total", "graph version bumps");
+  cells_.Register(scope);
 }
 
 void ObjectDependenceGraph::BumpVersionLocked() {
-  ++version_;
-  mutations_->Increment();
-  nodes_gauge_->Set(static_cast<double>(kinds_.size()));
-  edges_gauge_->Set(static_cast<double>(edge_count_));
+  cells_.version->Increment();
+  cells_.nodes->Set(static_cast<double>(kinds_.size()));
+  cells_.edges->Set(static_cast<double>(edge_count_));
 }
 
 NodeId ObjectDependenceGraph::EnsureNode(std::string_view node_name,
@@ -227,7 +223,7 @@ size_t ObjectDependenceGraph::edge_count() const {
 
 GraphStats ObjectDependenceGraph::stats() const {
   std::shared_lock lock(mutex_);
-  return GraphStats{kinds_.size(), edge_count_, version_};
+  return cells_.Snapshot();
 }
 
 std::vector<Edge> ObjectDependenceGraph::OutEdges(NodeId id) const {

@@ -39,11 +39,16 @@ struct Edge {
   double weight = 1.0;
 };
 
-// Counters exposed for the DUPSCALE bench and monitoring.
+// Every GraphStats metric, declared once (see common/metrics.h): exposed
+// for the DUPSCALE bench and monitoring. version is bumped on every
+// mutation.
+#define NAGANO_ODG_METRICS(X)                                                 \
+  X(Gauge, nodes, "nagano_odg_nodes", "ODG vertices")                         \
+  X(Gauge, edges, "nagano_odg_edges", "ODG dependence edges")                 \
+  X(Counter, version, "nagano_odg_mutations_total", "graph version bumps")
+
 struct GraphStats {
-  size_t nodes = 0;
-  size_t edges = 0;
-  uint64_t version = 0;  // bumped on every mutation
+  NAGANO_METRIC_FIELDS(NAGANO_ODG_METRICS)
 };
 
 class ObjectDependenceGraph {
@@ -108,7 +113,7 @@ class ObjectDependenceGraph {
 
  private:
   // Unlocked internals; callers hold mutex_.
-  // Bumps version_ and mirrors nodes/edges/version into the registry cells.
+  // Bumps the version and mirrors nodes/edges into the registry cells.
   void BumpVersionLocked();
   bool HasEdgeLocked(NodeId from, NodeId to) const;
   // `sorted_sources` must be sorted by Edge::to.
@@ -120,14 +125,13 @@ class ObjectDependenceGraph {
   std::vector<std::vector<Edge>> out_;   // out_[v] = edges v -> u
   std::vector<std::vector<Edge>> in_;    // in_[u]  = edges v -> u (to = source)
   size_t edge_count_ = 0;
-  uint64_t version_ = 0;
   bool has_custom_weights_ = false;
 
-  // Registry mirrors of the lock-guarded counters above; stats() reads the
-  // internals (exact), /metrics reads these.
-  metrics::Gauge* nodes_gauge_;
-  metrics::Gauge* edges_gauge_;
-  metrics::Counter* mutations_;
+  // Registry mirrors of the lock-guarded state above, written only under
+  // the exclusive lock, so stats() (under the shared lock) reads them
+  // consistently.
+  NAGANO_METRIC_CELLS(Cells, NAGANO_ODG_METRICS, GraphStats);
+  Cells cells_;
 };
 
 }  // namespace nagano::odg

@@ -42,18 +42,7 @@ PageRenderer::PageRenderer(odg::ObjectDependenceGraph* graph,
   assert(graph_ != nullptr);
   assert(cache_ != nullptr);
   const auto scope = metrics::Scope::Resolve(options_.metrics, "renderer");
-  pages_rendered_ = scope.GetCounter("nagano_renderer_pages_rendered_total",
-                                     "successful page/fragment renders");
-  fragment_cache_hits_ =
-      scope.GetCounter("nagano_renderer_fragment_cache_hits_total",
-                       "fragments spliced straight from cache");
-  generator_errors_ = scope.GetCounter("nagano_renderer_generator_errors_total",
-                                       "generator invocations that failed");
-  plans_stored_ = scope.GetCounter("nagano_renderer_plans_stored_total",
-                                   "pages stored as composition plans");
-  renders_coalesced_ =
-      scope.GetCounter("nagano_renderer_renders_coalesced_total",
-                       "renders adopting a concurrent flight's result");
+  cells_.Register(scope);
 }
 
 void PageRenderer::RegisterExact(std::string name, PageGenerator generator) {
@@ -158,7 +147,7 @@ Result<std::string> PageRenderer::RenderInternal(std::string_view page,
                             [&] { return flight->done; })) {
       Result<std::string> body = flight->body;
       lock.unlock();
-      renders_coalesced_->Increment();
+      cells_.renders_coalesced->Increment();
       return body;
     }
   }
@@ -218,7 +207,7 @@ Result<std::string> PageRenderer::RenderUncoalesced(
   state.stack.pop_back();
 
   if (!body.ok()) {
-    generator_errors_->Increment();
+    cells_.generator_errors->Increment();
     return body;
   }
 
@@ -247,14 +236,14 @@ Result<std::string> PageRenderer::RenderUncoalesced(
                     [](const cache::PlanChunk& c) { return c.is_fragment(); });
     if (has_fragment_chunk) {
       cache_->PutPlan(page_name, std::move(plan));
-      plans_stored_->Increment();
+      cells_.plans_stored->Increment();
     } else {
       cache_->Put(page_name, body.value());
     }
   }
 
-  pages_rendered_->Increment();
-  if (fragment_hits != 0) fragment_cache_hits_->Increment(fragment_hits);
+  cells_.pages_rendered->Increment();
+  if (fragment_hits != 0) cells_.fragment_cache_hits->Increment(fragment_hits);
   return body;
 }
 
@@ -312,14 +301,6 @@ Result<std::string> PageRenderer::ExtractPlan(
   return materialized;
 }
 
-RendererStats PageRenderer::stats() const {
-  RendererStats out;
-  out.pages_rendered = pages_rendered_->value();
-  out.fragment_cache_hits = fragment_cache_hits_->value();
-  out.generator_errors = generator_errors_->value();
-  out.plans_stored = plans_stored_->value();
-  out.renders_coalesced = renders_coalesced_->value();
-  return out;
-}
+RendererStats PageRenderer::stats() const { return cells_.Snapshot(); }
 
 }  // namespace nagano::pagegen

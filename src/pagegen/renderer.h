@@ -63,17 +63,25 @@ struct RenderRequest {
 // usage by the recorder.
 using PageGenerator = std::function<Result<std::string>(const RenderRequest&)>;
 
+// Every RendererStats counter, declared once (see common/metrics.h).
+//  * plans_stored: pages stored as composition plans (static chunks +
+//    fragment refs) instead of flat bodies.
+//  * renders_coalesced: fragment-granularity single-flight, so two pages
+//    racing on one hot fragment cost one fragment render.
+#define NAGANO_RENDERER_METRICS(X)                                            \
+  X(Counter, pages_rendered, "nagano_renderer_pages_rendered_total",          \
+    "successful page/fragment renders")                                       \
+  X(Counter, fragment_cache_hits, "nagano_renderer_fragment_cache_hits_total", \
+    "fragments spliced straight from cache")                                  \
+  X(Counter, generator_errors, "nagano_renderer_generator_errors_total",      \
+    "generator invocations that failed")                                      \
+  X(Counter, plans_stored, "nagano_renderer_plans_stored_total",              \
+    "pages stored as composition plans")                                      \
+  X(Counter, renders_coalesced, "nagano_renderer_renders_coalesced_total",    \
+    "renders adopting a concurrent flight's result")
+
 struct RendererStats {
-  uint64_t pages_rendered = 0;
-  uint64_t fragment_cache_hits = 0;  // fragments spliced straight from cache
-  uint64_t generator_errors = 0;
-  // Pages stored as composition plans (static chunks + fragment refs)
-  // instead of flat bodies.
-  uint64_t plans_stored = 0;
-  // Renders that adopted a concurrent in-flight render's result instead of
-  // running the generator again (fragment-granularity single-flight: two
-  // pages racing on one hot fragment cost one fragment render).
-  uint64_t renders_coalesced = 0;
+  NAGANO_METRIC_FIELDS(NAGANO_RENDERER_METRICS)
 };
 
 struct RendererOptions : OptionsBase {
@@ -161,11 +169,8 @@ class PageRenderer {
   // Registry-owned sharded counters — bumped on every render, and shared
   // locking would re-serialize the parallel re-render workers. stats() is a
   // thin snapshot view over these cells.
-  metrics::Counter* pages_rendered_;
-  metrics::Counter* fragment_cache_hits_;
-  metrics::Counter* generator_errors_;
-  metrics::Counter* plans_stored_;
-  metrics::Counter* renders_coalesced_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_RENDERER_METRICS, RendererStats);
+  Cells cells_;
 };
 
 }  // namespace nagano::pagegen

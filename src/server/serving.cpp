@@ -40,6 +40,10 @@ void FillCachedEntity(ServeOutcome& out,
   if (include_body) CopySharedBody(out);
 }
 
+// Seeds the backoff jitter stream, so each server's schedule is
+// deterministic.
+constexpr uint64_t kBackoffSeed = 0x7365727665ULL;  // "serve"
+
 }  // namespace
 
 Status RetryOptions::Validate() const {
@@ -75,42 +79,10 @@ DynamicPageServer::DynamicPageServer(cache::ObjectCache* cache,
       options_((ValidateOrDie(options, "DynamicPageServer::Options"),
                 std::move(options))),
       clock_(options_.clock ? options_.clock : &RealClock::Instance()),
-      backoff_rng_(options_.backoff_seed) {
+      backoff_rng_(kBackoffSeed) {
   assert(cache_ && renderer_);
   const auto scope = metrics::Scope::Resolve(options_.metrics, "serve");
-  static_hits_ = scope.GetCounter("nagano_serve_static_hits_total",
-                                  "requests answered from the static file set");
-  cache_hits_ = scope.GetCounter("nagano_serve_cache_hits_total",
-                                 "dynamic requests answered from cache");
-  cache_misses_ = scope.GetCounter("nagano_serve_cache_misses_total",
-                                   "dynamic requests that forced generation");
-  not_found_ =
-      scope.GetCounter("nagano_serve_not_found_total", "requests with no page");
-  errors_ =
-      scope.GetCounter("nagano_serve_errors_total", "requests that failed");
-  stale_serves_ = scope.GetCounter(
-      "nagano_serve_stale_total",
-      "degraded responses served from the last-known-good cached copy");
-  retries_ = scope.GetCounter("nagano_serve_retries_total",
-                              "transient generation failures retried");
-  deadline_exceeded_ =
-      scope.GetCounter("nagano_serve_deadline_exceeded_total",
-                       "retry budgets cut short by the request deadline");
-  coalesced_ = scope.GetCounter(
-      "nagano_serve_coalesced_total",
-      "requests that joined another request's in-flight render");
-  coalesce_timeouts_ = scope.GetCounter(
-      "nagano_serve_coalesce_timeout_total",
-      "coalesced waiters whose own deadline expired before the render");
-  shed_ = scope.GetCounter(
-      "nagano_serve_shed_total",
-      "requests rejected by admission control (no stale copy to soften to)");
-  shed_softened_ = scope.GetCounter(
-      "nagano_serve_shed_softened_total",
-      "admission-control sheds answered with the last-known-good stale copy");
-  renders_cancelled_ = scope.GetCounter(
-      "nagano_serve_renders_cancelled_total",
-      "coalesced renders abandoned after every participant's deadline expired");
+  cells_.Register(scope);
   coalesce_wait_ms_ = scope.GetHistogram(
       "nagano_serve_coalesce_wait_ms",
       "time a coalesced waiter spent blocked on the shared render");
@@ -184,8 +156,8 @@ Result<std::string> DynamicPageServer::GenerateWithRetry(std::string_view path,
       effective = flight->unbounded ? 0 : flight->horizon;
     }
     if (effective != 0 && clock_->Now() + pause >= effective) {
-      deadline_exceeded_->Increment();
-      if (flight != nullptr) renders_cancelled_->Increment();
+      cells_.deadline_exceeded->Increment();
+      if (flight != nullptr) cells_.renders_cancelled->Increment();
       break;
     }
     if (options_.sleep_on_backoff && pause > 0) {
@@ -195,7 +167,7 @@ Result<std::string> DynamicPageServer::GenerateWithRetry(std::string_view path,
         retry.max_backoff,
         static_cast<TimeNs>(static_cast<double>(backoff) * retry.multiplier));
     ++*retries;
-    retries_->Increment();
+    cells_.retries->Increment();
   }
   return last;
 }
@@ -207,7 +179,7 @@ ServeOutcome DynamicPageServer::DegradeToStale(std::string_view path,
   out.error = error;
   if (options_.serve_stale_on_error) {
     if (auto stale = cache_->LookupStale(path)) {
-      stale_serves_->Increment();
+      cells_.stale_serves->Increment();
       out.cls = ServeClass::kDegradedStale;
       out.cpu_cost = options_.costs.cached_dynamic;
       out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
@@ -215,7 +187,7 @@ ServeOutcome DynamicPageServer::DegradeToStale(std::string_view path,
       return out;
     }
   }
-  errors_->Increment();
+  cells_.errors->Increment();
   out.cls = ServeClass::kError;
   out.cpu_cost = options_.costs.not_found;
   return out;
@@ -249,8 +221,8 @@ ServeOutcome DynamicPageServer::Shed(std::string_view path, bool include_body,
   // stance, extended to overload).
   if (options_.serve_stale_on_error) {
     if (auto stale = cache_->LookupStale(path)) {
-      stale_serves_->Increment();
-      shed_softened_->Increment();
+      cells_.stale_serves->Increment();
+      cells_.shed_softened->Increment();
       out.cls = ServeClass::kDegradedStale;
       out.cpu_cost = options_.costs.cached_dynamic;
       out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
@@ -259,7 +231,7 @@ ServeOutcome DynamicPageServer::Shed(std::string_view path, bool include_body,
       return out;
     }
   }
-  shed_->Increment();
+  cells_.shed->Increment();
   out.cls = ServeClass::kRejected;
   out.cpu_cost = options_.costs.not_found;
   out.error = std::move(why);
@@ -271,25 +243,25 @@ ServeOutcome DynamicPageServer::Shed(std::string_view path, bool include_body,
 void DynamicPageServer::CountAdopted(const ServeOutcome& outcome) {
   switch (outcome.cls) {
     case ServeClass::kStatic:
-      static_hits_->Increment();
+      cells_.static_hits->Increment();
       break;
     case ServeClass::kCacheHit:
-      cache_hits_->Increment();
+      cells_.cache_hits->Increment();
       break;
     case ServeClass::kCacheMissGenerated:
-      cache_misses_->Increment();
+      cells_.cache_misses->Increment();
       break;
     case ServeClass::kDegradedStale:
-      stale_serves_->Increment();
+      cells_.stale_serves->Increment();
       break;
     case ServeClass::kNotFound:
-      not_found_->Increment();
+      cells_.not_found->Increment();
       break;
     case ServeClass::kError:
-      errors_->Increment();
+      cells_.errors->Increment();
       break;
     case ServeClass::kRejected:
-      shed_->Increment();
+      cells_.shed->Increment();
       break;
   }
 }
@@ -338,7 +310,7 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
   auto body = GenerateWithRetry(path, deadline, &out.retries, flight);
   ReleaseRender();
   if (body.ok()) {
-    cache_misses_->Increment();
+    cells_.cache_misses->Increment();
     out.cls = ServeClass::kCacheMissGenerated;
     out.cpu_cost = options_.costs.generate_dynamic;
     out.bytes = body.value().size();
@@ -359,7 +331,7 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
       out.entity_headers = std::move(headers);
     }
   } else if (body.status().code() == ErrorCode::kNotFound) {
-    not_found_->Increment();
+    cells_.not_found->Increment();
     out.cls = ServeClass::kNotFound;
     out.cpu_cost = options_.costs.not_found;
   } else {
@@ -388,7 +360,7 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
 ServeOutcome DynamicPageServer::AwaitFlight(
     const std::shared_ptr<Flight>& flight, std::string_view path,
     bool include_body, TimeNs deadline) {
-  coalesced_->Increment();
+  cells_.coalesced->Increment();
   const TimeNs wait_start = clock_->Now();
   bool timed_out = false;
   std::unique_lock<std::mutex> lock(flight->mutex);
@@ -409,7 +381,7 @@ ServeOutcome DynamicPageServer::AwaitFlight(
     if (include_body) CopySharedBody(out);
   } else {
     lock.unlock();
-    coalesce_timeouts_->Increment();
+    cells_.coalesce_timeouts->Increment();
     out = DegradeToStale(
         path, include_body,
         UnavailableError("coalesced render missed the request deadline"));
@@ -430,7 +402,7 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
     std::lock_guard<std::mutex> lock(static_mutex_);
     auto it = static_pages_.find(path);
     if (it != static_pages_.end()) {
-      static_hits_->Increment();
+      cells_.static_hits->Increment();
       out.cls = ServeClass::kStatic;
       out.cpu_cost = options_.costs.static_page;
       FillCachedEntity(out, it->second, include_body);
@@ -443,7 +415,7 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
   if (ShouldCache(path)) {
     auto cached = cache_->TryLookup(path);
     if (cached.ok()) {
-      cache_hits_->Increment();
+      cells_.cache_hits->Increment();
       out.cls = ServeClass::kCacheHit;
       out.cpu_cost = options_.costs.cached_dynamic;
       FillCachedEntity(out, cached.value(), include_body);
@@ -474,7 +446,7 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
     auto body = GenerateWithRetry(path, deadline, &out.retries);
     ReleaseRender();
     if (body.ok()) {
-      cache_misses_->Increment();
+      cells_.cache_misses->Increment();
       out.cls = ServeClass::kCacheMissGenerated;
       out.cpu_cost = options_.costs.generate_dynamic;
       out.bytes = body.value().size();
@@ -494,43 +466,16 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
     }
   }
 
-  not_found_->Increment();
+  cells_.not_found->Increment();
   out.cls = ServeClass::kNotFound;
   out.cpu_cost = options_.costs.not_found;
   return out;
 }
 
-ServeStats DynamicPageServer::stats() const {
-  ServeStats s;
-  s.static_hits = static_hits_->value();
-  s.cache_hits = cache_hits_->value();
-  s.cache_misses = cache_misses_->value();
-  s.not_found = not_found_->value();
-  s.errors = errors_->value();
-  s.stale_serves = stale_serves_->value();
-  s.retries = retries_->value();
-  s.deadline_exceeded = deadline_exceeded_->value();
-  s.coalesced = coalesced_->value();
-  s.coalesce_timeouts = coalesce_timeouts_->value();
-  s.shed = shed_->value();
-  s.shed_softened = shed_softened_->value();
-  s.renders_cancelled = renders_cancelled_->value();
-  return s;
-}
-
-Status FrontEndOptions::Validate() const {
-  if (Status s = http.Validate(); !s.ok()) return s;
-  if (request_deadline < 0) {
-    return InvalidArgumentError("FrontEndOptions.request_deadline must be >= 0");
-  }
-  return Status::Ok();
-}
+ServeStats DynamicPageServer::stats() const { return cells_.Snapshot(); }
 
 HttpFrontEnd::HttpFrontEnd(DynamicPageServer* program, FrontEndOptions options)
     : program_(program),
-      request_deadline_((ValidateOrDie(options, "FrontEndOptions"),
-                         options.request_deadline)),
-      clock_(options.clock ? options.clock : &RealClock::Instance()),
       server_(std::make_unique<http::HttpServer>(
           [this](const http::HttpRequest& request) { return Handle(request); },
           std::move(options.http))) {
@@ -593,13 +538,11 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
     if (request.method == "HEAD") r.body.clear();
     return r;
   }
-  const TimeNs deadline =
-      request_deadline_ > 0 ? clock_->Now() + request_deadline_ : 0;
   // include_body=false: cached sources answer with body_ref/entity_headers
   // aliased into the cached object (the zero-copy hit path); generated
   // pages arrive moved into outcome.body either way.
   ServeOutcome outcome =
-      program_->Serve(request.Path(), /*include_body=*/false, deadline);
+      program_->Serve(request.Path(), /*include_body=*/false);
   const auto fill_entity = [&request, &outcome](http::HttpResponse& r) {
     if (request.method == "HEAD") return;  // keep Content-Length: 0
     if (outcome.body_ref != nullptr || !outcome.body_chunks.empty()) {

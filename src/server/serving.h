@@ -104,20 +104,36 @@ struct ServeOutcome {
   TimeNs retry_after = 0;
 };
 
+// Every ServeStats counter, declared once (see common/metrics.h).
+#define NAGANO_SERVE_METRICS(X)                                               \
+  X(Counter, static_hits, "nagano_serve_static_hits_total",                   \
+    "requests answered from the static file set")                             \
+  X(Counter, cache_hits, "nagano_serve_cache_hits_total",                     \
+    "dynamic requests answered from cache")                                   \
+  X(Counter, cache_misses, "nagano_serve_cache_misses_total",                 \
+    "dynamic requests that forced generation")                                \
+  X(Counter, not_found, "nagano_serve_not_found_total",                       \
+    "requests with no page")                                                  \
+  X(Counter, errors, "nagano_serve_errors_total", "requests that failed")     \
+  X(Counter, stale_serves, "nagano_serve_stale_total",                        \
+    "degraded responses served from the last-known-good cached copy")         \
+  X(Counter, retries, "nagano_serve_retries_total",                           \
+    "transient generation failures retried")                                  \
+  X(Counter, deadline_exceeded, "nagano_serve_deadline_exceeded_total",       \
+    "retry budgets cut short by the request deadline")                        \
+  X(Counter, coalesced, "nagano_serve_coalesced_total",                       \
+    "requests that joined another request's in-flight render")               \
+  X(Counter, coalesce_timeouts, "nagano_serve_coalesce_timeout_total",        \
+    "coalesced waiters whose own deadline expired before the render")         \
+  X(Counter, shed, "nagano_serve_shed_total",                                 \
+    "requests rejected by admission control (no stale copy to soften to)")    \
+  X(Counter, shed_softened, "nagano_serve_shed_softened_total",               \
+    "admission-control sheds answered with the last-known-good stale copy")   \
+  X(Counter, renders_cancelled, "nagano_serve_renders_cancelled_total",       \
+    "coalesced renders abandoned after every participant's deadline expired")
+
 struct ServeStats {
-  uint64_t static_hits = 0;
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t not_found = 0;
-  uint64_t errors = 0;
-  uint64_t stale_serves = 0;        // degraded last-known-good responses
-  uint64_t retries = 0;             // backoff retries taken
-  uint64_t deadline_exceeded = 0;   // retry budgets cut short by a deadline
-  uint64_t coalesced = 0;           // requests that joined an in-flight render
-  uint64_t coalesce_timeouts = 0;   // waiters whose own deadline expired first
-  uint64_t shed = 0;                // kRejected responses (admission control)
-  uint64_t shed_softened = 0;       // sheds answered stale instead of 503
-  uint64_t renders_cancelled = 0;   // renders abandoned: every waiter expired
+  NAGANO_METRIC_FIELDS(NAGANO_SERVE_METRICS)
 
   uint64_t total() const {
     return static_hits + cache_hits + cache_misses + not_found + errors +
@@ -179,8 +195,6 @@ class DynamicPageServer {
     bool sleep_on_backoff = false;
     // Deadline + staleness clock. nullptr = RealClock.
     const Clock* clock = nullptr;
-    // Seed for the backoff jitter stream (deterministic per server).
-    uint64_t backoff_seed = 0x7365727665ULL;  // "serve"
 
     // Registry + instance label for the nagano_serve_* metrics.
     metrics::Options metrics;
@@ -202,8 +216,7 @@ class DynamicPageServer {
 
   // Serves one page. `include_body` false lets the simulator skip the body
   // copy on its hot path. `deadline` is an absolute time on the server's
-  // clock bounding retries (0 = apply default_deadline, if any); it is the
-  // propagation target for HttpFrontEnd's per-request budget.
+  // clock bounding retries (0 = apply default_deadline, if any).
   ServeOutcome Serve(std::string_view path, bool include_body = true,
                      TimeNs deadline = 0);
 
@@ -290,20 +303,8 @@ class DynamicPageServer {
   // Renders currently running (leaders + uncoalesced), for admission.
   std::atomic<size_t> active_renders_{0};
 
-  // Registry cells behind the legacy stats() view.
-  metrics::Counter* static_hits_;
-  metrics::Counter* cache_hits_;
-  metrics::Counter* cache_misses_;
-  metrics::Counter* not_found_;
-  metrics::Counter* errors_;
-  metrics::Counter* stale_serves_;
-  metrics::Counter* retries_;
-  metrics::Counter* deadline_exceeded_;
-  metrics::Counter* coalesced_;
-  metrics::Counter* coalesce_timeouts_;
-  metrics::Counter* shed_;
-  metrics::Counter* shed_softened_;
-  metrics::Counter* renders_cancelled_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_SERVE_METRICS, ServeStats);
+  Cells cells_;
   metrics::Histogram* coalesce_wait_ms_;
 };
 
@@ -316,15 +317,12 @@ struct HealthReport {
 
 using HealthCheck = std::function<HealthReport()>;
 
+// Requests carry no front-end deadline of their own: each Serve() gets the
+// program's DynamicPageServer::Options.default_deadline.
 struct FrontEndOptions : OptionsBase {
   http::HttpServer::Options http;
-  // Per-request serving budget, propagated as an absolute deadline into
-  // DynamicPageServer::Serve (bounding its retry schedule). 0 = unbounded.
-  TimeNs request_deadline = 0;
-  // Clock the deadline is computed against. nullptr = RealClock.
-  const Clock* clock = nullptr;
 
-  Status Validate() const;
+  Status Validate() const { return http.Validate(); }
 };
 
 // Adapts a DynamicPageServer to the epoll HTTP server, and optionally
@@ -359,8 +357,6 @@ class HttpFrontEnd {
   http::HttpResponse HandleAdmin(std::string_view path);
 
   DynamicPageServer* program_;
-  TimeNs request_deadline_;
-  const Clock* clock_;
   metrics::MetricRegistry* admin_registry_ = nullptr;  // null = admin off
   HealthCheck health_;
   std::unique_ptr<http::HttpServer> server_;

@@ -7,6 +7,16 @@
 #include "common/logging.h"
 
 namespace nagano::trigger {
+namespace {
+
+// Levels with at most this many affected objects render inline on the
+// trigger thread instead of round-tripping through the pool: for tiny
+// levels the submit/wake/barrier overhead exceeds the render work itself,
+// which is what dragged the measured parallel "speedup" below 1.0 on small
+// hosts.
+constexpr size_t kInlineRenderCutover = 32;
+
+}  // namespace
 
 std::string_view CachePolicyName(CachePolicy policy) {
   switch (policy) {
@@ -70,60 +80,7 @@ TriggerMonitor::TriggerMonitor(db::Database* db,
 
   const auto scope = metrics::Scope::Resolve(options_.metrics, "trigger");
   instance_ = scope.labels.empty() ? std::string() : scope.labels[0].second;
-  changes_processed_ = scope.GetCounter("nagano_trigger_changes_processed_total",
-                                        "database changes applied");
-  batches_ =
-      scope.GetCounter("nagano_trigger_batches_total", "coalesced DUP batches");
-  dup_runs_ =
-      scope.GetCounter("nagano_trigger_dup_runs_total", "DUP traversals");
-  objects_updated_ = scope.GetCounter("nagano_trigger_objects_updated_total",
-                                      "objects regenerated in place");
-  objects_invalidated_ =
-      scope.GetCounter("nagano_trigger_objects_invalidated_total",
-                       "objects dropped from the cache");
-  objects_skipped_ =
-      scope.GetCounter("nagano_trigger_objects_skipped_total",
-                       "affected but uncached objects left to on-demand render");
-  render_failures_ = scope.GetCounter("nagano_trigger_render_failures_total",
-                                      "regenerations that failed");
-  plans_patched_ = scope.GetCounter(
-      "nagano_trigger_plans_patched_total",
-      "composition plans refreshed by fragment swap (no page re-render)");
-  rerendered_bytes_ = scope.GetCounter(
-      "nagano_dup_rerendered_bytes_total",
-      "bytes produced by update-in-place re-renders");
-  changes_coalesced_ =
-      scope.GetCounter("nagano_trigger_changes_coalesced_total",
-                       "changes that rode along in a multi-change batch");
-  render_jobs_ = scope.GetCounter("nagano_trigger_render_jobs_total",
-                                  "render jobs dispatched to the pool");
-  renders_attempted_ = scope.GetCounter(
-      "nagano_trigger_renders_attempted_total", "regenerations tried");
-  notifications_dropped_ =
-      scope.GetCounter("nagano_trigger_notifications_dropped_total",
-                       "commit notifications lost to injected faults");
-  notifications_recovered_ =
-      scope.GetCounter("nagano_trigger_notifications_recovered_total",
-                       "dropped changes healed from the change log");
-  duplicates_injected_ =
-      scope.GetCounter("nagano_trigger_duplicates_injected_total",
-                       "injected duplicate notification deliveries");
-  update_latency_ms_ =
-      scope.GetHistogram("nagano_trigger_update_latency_ms",
-                         "commit to cache-consistent latency per batch (ms)");
-  fanout_ = scope.GetHistogram("nagano_trigger_fanout",
-                               "affected objects per batch");
-  fanout_bytes_ = scope.GetHistogram("nagano_dup_fanout_bytes",
-                                     "bytes re-rendered per update batch");
-  batch_apply_ms_ = scope.GetHistogram(
-      "nagano_trigger_batch_apply_ms",
-      "regenerate + distribute wall time per batch (ms)");
-  batch_levels_ =
-      scope.GetHistogram("nagano_trigger_batch_levels",
-                         "topological stages per update-in-place batch");
-  propagation_latency_ms_ = scope.GetHistogram(
-      "nagano_dup_propagation_latency_ms",
-      "commit to cache-visible latency per affected object (ms)");
+  cells_.Register(scope);
 }
 
 TriggerMonitor::~TriggerMonitor() { Stop(); }
@@ -163,7 +120,7 @@ void TriggerMonitor::OnChange(uint32_t shard, const db::ChangeRecord& change) {
   if (!fate.status.ok()) {
     // Lost notification. The commit is durable in the change log, so the
     // next notification (or an explicit CatchUp) heals the gap.
-    notifications_dropped_->Increment();
+    cells_.notifications_dropped->Increment();
     return;
   }
   std::vector<db::ChangeRecord> to_enqueue;
@@ -185,14 +142,16 @@ void TriggerMonitor::OnChange(uint32_t shard, const db::ChangeRecord& change) {
           if (missed.shard_seqno >= change.shard_seqno) break;
           to_enqueue.push_back(std::move(missed));
         }
-        notifications_recovered_->Increment(to_enqueue.size());
+        cells_.notifications_recovered->Increment(to_enqueue.size());
       }
     }
     if (change.shard_seqno > pos) cursor_.positions[shard] = change.shard_seqno;
   }
   to_enqueue.push_back(change);
   for (uint32_t i = 0; i < fate.duplicates; ++i) to_enqueue.push_back(change);
-  if (fate.duplicates > 0) duplicates_injected_->Increment(fate.duplicates);
+  if (fate.duplicates > 0) {
+    cells_.duplicates_injected->Increment(fate.duplicates);
+  }
   for (const auto& record : to_enqueue) EnqueueChange(record);
 }
 
@@ -223,7 +182,7 @@ size_t TriggerMonitor::CatchUp() {
       }
     }
     if (!to_enqueue.empty()) {
-      notifications_recovered_->Increment(to_enqueue.size());
+      cells_.notifications_recovered->Increment(to_enqueue.size());
     }
   }
   std::sort(to_enqueue.begin(), to_enqueue.end(),
@@ -268,8 +227,8 @@ void TriggerMonitor::DispatchLoop() {
       batch.push_back(std::move(*next));
     }
     ProcessBatch(batch);
-    batches_->Increment();
-    changes_processed_->Increment(batch.size());
+    cells_.batches->Increment();
+    cells_.changes_processed->Increment(batch.size());
     {
       std::lock_guard<std::mutex> lock(mutex_);
       processed_ += batch.size();
@@ -304,9 +263,9 @@ void TriggerMonitor::ProcessBatch(const std::vector<db::ChangeRecord>& batch) {
   const odg::DupResult dup =
       odg::DupEngine::ComputeAffected(*graph_, changed, dup_options);
 
-  dup_runs_->Increment();
-  if (batch.size() > 1) changes_coalesced_->Increment(batch.size() - 1);
-  fanout_->Observe(static_cast<double>(dup.affected.size()));
+  cells_.dup_runs->Increment();
+  if (batch.size() > 1) cells_.changes_coalesced->Increment(batch.size() - 1);
+  cells_.fanout->Observe(static_cast<double>(dup.affected.size()));
 
   // Oldest commit in the batch: the floor every per-object propagation
   // observation is stamped against.
@@ -320,11 +279,11 @@ void TriggerMonitor::ProcessBatch(const std::vector<db::ChangeRecord>& batch) {
     ApplyInvalidate(dup, oldest);
   }
   const double apply_ms = ToMillis(clock_->Now() - apply_start);
-  batch_apply_ms_->Observe(std::max(0.0, apply_ms));
+  cells_.batch_apply_ms->Observe(std::max(0.0, apply_ms));
 
   // Batch latency: oldest commit in the batch -> now.
   const double latency_ms = ToMillis(clock_->Now() - oldest);
-  update_latency_ms_->Observe(std::max(0.0, latency_ms));
+  cells_.update_latency_ms->Observe(std::max(0.0, latency_ms));
 }
 
 void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
@@ -386,7 +345,7 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
           options_.fleet->PutAll(name, fresh->Materialize());
         }
       }
-      propagation_latency_ms_->Observe(
+      cells_.propagation_latency_ms->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
       return Outcome::kUpdated;
     }
@@ -400,7 +359,7 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
       options_.fleet->PutAll(name, body.value());
     }
     // The fresh body is now what readers see: stamp commit -> cache-visible.
-    propagation_latency_ms_->Observe(
+    cells_.propagation_latency_ms->Observe(
         std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
     return Outcome::kUpdated;
   };
@@ -430,8 +389,7 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
                 [](const odg::AffectedObject* a, const odg::AffectedObject* b) {
                   return a->id < b->id;
                 });
-      if (workers <= 1 || level.size() <= 1 ||
-          level.size() <= options_.inline_render_cutover) {
+      if (workers <= 1 || level.size() <= kInlineRenderCutover) {
         // Not worth a pool round-trip.
         for (const auto* obj : level) tally(regenerate(*obj));
         continue;
@@ -449,15 +407,15 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     }
   }
 
-  objects_updated_->Increment(updated.load());
-  render_failures_->Increment(failures.load());
-  objects_skipped_->Increment(skipped.load());
-  renders_attempted_->Increment(attempted.load());
-  render_jobs_->Increment(jobs);
-  plans_patched_->Increment(patched.load());
-  rerendered_bytes_->Increment(bytes_rerendered.load());
-  fanout_bytes_->Observe(static_cast<double>(bytes_rerendered.load()));
-  batch_levels_->Observe(static_cast<double>(dup.num_levels));
+  cells_.objects_updated->Increment(updated.load());
+  cells_.render_failures->Increment(failures.load());
+  cells_.objects_skipped->Increment(skipped.load());
+  cells_.renders_attempted->Increment(attempted.load());
+  cells_.render_jobs->Increment(jobs);
+  cells_.plans_patched->Increment(patched.load());
+  cells_.rerendered_bytes->Increment(bytes_rerendered.load());
+  cells_.fanout_bytes->Observe(static_cast<double>(bytes_rerendered.load()));
+  cells_.batch_levels->Observe(static_cast<double>(dup.num_levels));
 }
 
 void TriggerMonitor::ApplyInvalidate(const odg::DupResult& dup,
@@ -468,12 +426,12 @@ void TriggerMonitor::ApplyInvalidate(const odg::DupResult& dup,
     if (cache_->Invalidate(name)) {
       ++invalidated;
       // Staleness window closed by removal rather than refresh.
-      propagation_latency_ms_->Observe(
+      cells_.propagation_latency_ms->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
     }
     if (options_.fleet != nullptr) options_.fleet->InvalidateAll(name);
   }
-  objects_invalidated_->Increment(invalidated);
+  cells_.objects_invalidated->Increment(invalidated);
 }
 
 void TriggerMonitor::ApplyConservative(
@@ -495,36 +453,10 @@ void TriggerMonitor::ApplyConservative(
     invalidated += cache_->InvalidatePrefix(p);
     if (options_.fleet != nullptr) options_.fleet->InvalidatePrefixAll(p);
   }
-  objects_invalidated_->Increment(invalidated);
-  fanout_->Observe(static_cast<double>(invalidated));
+  cells_.objects_invalidated->Increment(invalidated);
+  cells_.fanout->Observe(static_cast<double>(invalidated));
 }
 
-TriggerStats TriggerMonitor::stats() const {
-  // Assembled snapshot view over the registry cells — same field values the
-  // pre-registry struct carried, so benches and tests read it unchanged.
-  TriggerStats s;
-  s.changes_processed = changes_processed_->value();
-  s.batches = batches_->value();
-  s.dup_runs = dup_runs_->value();
-  s.objects_updated = objects_updated_->value();
-  s.objects_invalidated = objects_invalidated_->value();
-  s.objects_skipped = objects_skipped_->value();
-  s.render_failures = render_failures_->value();
-  s.plans_patched = plans_patched_->value();
-  s.rerendered_bytes = rerendered_bytes_->value();
-  s.changes_coalesced = changes_coalesced_->value();
-  s.render_jobs = render_jobs_->value();
-  s.renders_attempted = renders_attempted_->value();
-  s.notifications_dropped = notifications_dropped_->value();
-  s.notifications_recovered = notifications_recovered_->value();
-  s.duplicates_injected = duplicates_injected_->value();
-  s.update_latency_ms = update_latency_ms_->snapshot();
-  s.fanout = fanout_->snapshot();
-  s.fanout_bytes = fanout_bytes_->snapshot();
-  s.batch_apply_ms = batch_apply_ms_->snapshot();
-  s.batch_levels = batch_levels_->snapshot();
-  s.propagation_latency_ms = propagation_latency_ms_->snapshot();
-  return s;
-}
+TriggerStats TriggerMonitor::stats() const { return cells_.Snapshot(); }
 
 }  // namespace nagano::trigger

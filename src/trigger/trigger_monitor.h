@@ -64,17 +64,10 @@ struct TriggerOptions : OptionsBase {
   // objects sharing a level are mutually independent and regenerate in
   // parallel (one contiguous, NodeId-ordered chunk per worker); levels run
   // in ascending order with a barrier between them, so fragments are always
-  // fresh before the pages embedding them re-render.
+  // fresh before the pages embedding them re-render. Small levels render
+  // inline (kInlineRenderCutover in the .cpp), and effective parallelism is
+  // clamped to the machine's hardware concurrency.
   size_t worker_threads = 1;
-
-  // Levels with at most this many affected objects render inline on the
-  // trigger thread instead of round-tripping through the pool: for tiny
-  // levels the submit/wake/barrier overhead exceeds the render work itself,
-  // which is what dragged the measured parallel "speedup" below 1.0 on
-  // small hosts. Effective parallelism is additionally clamped to the
-  // machine's hardware concurrency — more workers than cores only adds
-  // scheduler churn.
-  size_t inline_render_cutover = 32;
 
   // Coalesce up to this many queued change records into one DUP run.
   size_t batch_max = 64;
@@ -112,40 +105,61 @@ struct TriggerOptions : OptionsBase {
 // away every results-bearing page family.
 std::map<std::string, std::vector<std::string>> OlympicConservativePrefixes();
 
+// Every TriggerStats metric, declared once (see common/metrics.h).
+//  * rerendered_bytes: a patched plan contributes nothing, only the
+//    re-rendered fragment's bytes count, so this is the fragment-vs-whole-
+//    page fanout cost the update bench gates on.
+//  * propagation_latency_ms is finer-grained than update_latency_ms: each
+//    object is stamped the moment its fresh body (or its removal) becomes
+//    visible to readers, not at batch end — the paper's <= 60 s freshness
+//    bound made measurable.
+#define NAGANO_TRIGGER_METRICS(X)                                             \
+  X(Counter, changes_processed, "nagano_trigger_changes_processed_total",     \
+    "database changes applied")                                               \
+  X(Counter, batches, "nagano_trigger_batches_total", "coalesced DUP batches") \
+  X(Counter, dup_runs, "nagano_trigger_dup_runs_total", "DUP traversals")     \
+  X(Counter, objects_updated, "nagano_trigger_objects_updated_total",         \
+    "objects regenerated in place")                                           \
+  X(Counter, objects_invalidated, "nagano_trigger_objects_invalidated_total", \
+    "objects dropped from the cache")                                         \
+  X(Counter, objects_skipped, "nagano_trigger_objects_skipped_total",         \
+    "affected but uncached objects left to on-demand render")                 \
+  X(Counter, render_failures, "nagano_trigger_render_failures_total",         \
+    "regenerations that failed")                                              \
+  X(Counter, plans_patched, "nagano_trigger_plans_patched_total",             \
+    "composition plans refreshed by fragment swap (no page re-render)")       \
+  X(Counter, rerendered_bytes, "nagano_dup_rerendered_bytes_total",           \
+    "bytes produced by update-in-place re-renders")                           \
+  /* fault-path counters */                                                   \
+  X(Counter, notifications_dropped,                                           \
+    "nagano_trigger_notifications_dropped_total",                             \
+    "commit notifications lost to injected faults")                           \
+  X(Counter, notifications_recovered,                                         \
+    "nagano_trigger_notifications_recovered_total",                           \
+    "dropped changes healed from the change log")                             \
+  X(Counter, duplicates_injected, "nagano_trigger_duplicates_injected_total", \
+    "injected duplicate notification deliveries")                             \
+  /* parallel-pipeline stage counters */                                      \
+  X(Counter, changes_coalesced, "nagano_trigger_changes_coalesced_total",     \
+    "changes that rode along in a multi-change batch")                        \
+  X(Counter, render_jobs, "nagano_trigger_render_jobs_total",                 \
+    "render jobs dispatched to the pool")                                     \
+  X(Counter, renders_attempted, "nagano_trigger_renders_attempted_total",     \
+    "regenerations tried")                                                    \
+  X(Histogram, update_latency_ms, "nagano_trigger_update_latency_ms",         \
+    "commit to cache-consistent latency per batch (ms)")                      \
+  X(Histogram, fanout, "nagano_trigger_fanout", "affected objects per batch") \
+  X(Histogram, fanout_bytes, "nagano_dup_fanout_bytes",                       \
+    "bytes re-rendered per update batch")                                     \
+  X(Histogram, batch_apply_ms, "nagano_trigger_batch_apply_ms",               \
+    "regenerate + distribute wall time per batch (ms)")                       \
+  X(Histogram, batch_levels, "nagano_trigger_batch_levels",                   \
+    "topological stages per update-in-place batch")                           \
+  X(Histogram, propagation_latency_ms, "nagano_dup_propagation_latency_ms",   \
+    "commit to cache-visible latency per affected object (ms)")
+
 struct TriggerStats {
-  uint64_t changes_processed = 0;
-  uint64_t batches = 0;
-  uint64_t dup_runs = 0;
-  uint64_t objects_updated = 0;      // update-in-place count
-  uint64_t objects_invalidated = 0;
-  uint64_t objects_skipped = 0;      // affected but uncached (regenerate on demand)
-  uint64_t render_failures = 0;
-  // Composition plans refreshed by fragment swap instead of a page
-  // re-render (the fragment-first DUP fast path).
-  uint64_t plans_patched = 0;
-  // Total bytes produced by update-in-place re-renders (registry name
-  // nagano_dup_rerendered_bytes_total). A patched plan contributes nothing
-  // — only the re-rendered fragment's bytes count — so this is the
-  // fragment-vs-whole-page fanout cost the update bench gates on.
-  uint64_t rerendered_bytes = 0;
-  // --- fault-path counters ------------------------------------------------
-  uint64_t notifications_dropped = 0;    // injected drops (lost notifications)
-  uint64_t notifications_recovered = 0;  // changes healed from the change log
-  uint64_t duplicates_injected = 0;      // injected re-deliveries
-  // --- parallel-pipeline stage counters -----------------------------------
-  uint64_t changes_coalesced = 0;    // changes that rode along in a multi-change batch
-  uint64_t render_jobs = 0;          // per-worker render jobs dispatched to the pool
-  uint64_t renders_attempted = 0;    // regenerations tried (updated + failed)
-  Histogram update_latency_ms;       // commit -> cache consistent, per batch
-  Histogram fanout;                  // affected objects per batch
-  Histogram fanout_bytes;            // bytes re-rendered per batch/commit
-  Histogram batch_apply_ms;          // regenerate + distribute time per batch
-  Histogram batch_levels;            // topological stages per update-in-place batch
-  // Commit -> cache-visible, per affected object (registry name
-  // nagano_dup_propagation_latency_ms). Finer-grained than
-  // update_latency_ms: each object is stamped the moment its fresh body
-  // (or its removal) becomes visible to readers, not at batch end.
-  Histogram propagation_latency_ms;
+  NAGANO_METRIC_FIELDS(NAGANO_TRIGGER_METRICS)
 };
 
 class TriggerMonitor : public db::ChangeSink {
@@ -232,31 +246,8 @@ class TriggerMonitor : public db::ChangeSink {
   uint64_t enqueued_ = 0;
   uint64_t processed_ = 0;
 
-  // Registry cells; the legacy TriggerStats view in stats() is assembled
-  // from these (histograms via snapshot()).
-  metrics::Counter* changes_processed_;
-  metrics::Counter* batches_;
-  metrics::Counter* dup_runs_;
-  metrics::Counter* objects_updated_;
-  metrics::Counter* objects_invalidated_;
-  metrics::Counter* objects_skipped_;
-  metrics::Counter* render_failures_;
-  metrics::Counter* plans_patched_;
-  metrics::Counter* rerendered_bytes_;
-  metrics::Counter* changes_coalesced_;
-  metrics::Counter* render_jobs_;
-  metrics::Counter* renders_attempted_;
-  metrics::Counter* notifications_dropped_;
-  metrics::Counter* notifications_recovered_;
-  metrics::Counter* duplicates_injected_;
-  metrics::Histogram* update_latency_ms_;
-  metrics::Histogram* fanout_;
-  metrics::Histogram* fanout_bytes_;
-  metrics::Histogram* batch_apply_ms_;
-  metrics::Histogram* batch_levels_;
-  // Commit -> cache-visible latency per affected object, the paper's ≤60 s
-  // freshness bound made measurable.
-  metrics::Histogram* propagation_latency_ms_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_TRIGGER_METRICS, TriggerStats);
+  Cells cells_;
 };
 
 }  // namespace nagano::trigger

@@ -241,21 +241,7 @@ WriteAheadLog::WriteAheadLog(WalOptions options)
       faults_(options_.faults) {
   const auto scope = metrics::Scope::Resolve(options_.metrics, "wal");
   instance_ = scope.labels.empty() ? std::string() : scope.labels[0].second;
-  appends_ = scope.GetCounter("nagano_wal_appends_total",
-                              "records appended to the write-ahead log");
-  fsyncs_ = scope.GetCounter("nagano_wal_fsyncs_total",
-                             "fsync calls on WAL segments");
-  bytes_ = scope.GetCounter("nagano_wal_bytes_total",
-                            "bytes appended to the write-ahead log");
-  checkpoints_ = scope.GetCounter("nagano_wal_checkpoints_total",
-                                  "checkpoint images written");
-  segments_created_ = scope.GetCounter("nagano_wal_segments_created_total",
-                                       "WAL segment files created");
-  segments_deleted_ = scope.GetCounter("nagano_wal_segments_deleted_total",
-                                       "WAL segment files retired");
-  torn_tails_ = scope.GetCounter(
-      "nagano_wal_torn_tails_total",
-      "torn frames truncated from the log tail at open");
+  cells_.Register(scope);
 }
 
 WriteAheadLog::~WriteAheadLog() {
@@ -314,7 +300,7 @@ Status WriteAheadLog::ScanExistingLocked() {
       const auto sz = std::filesystem::file_size(path, ec);
       if (!ec) torn_bytes_ += sz;
       std::filesystem::remove(path, ec);
-      segments_deleted_->Increment();
+      cells_.segments_deleted->Increment();
       continue;
     }
     auto data_or = ReadWholeFile(path);
@@ -351,13 +337,13 @@ Status WriteAheadLog::ScanExistingLocked() {
 
     if (valid < data.size() || valid == 0) {
       torn = true;
-      torn_tails_->Increment();
+      cells_.torn_tails->Increment();
       torn_bytes_ += data.size() - valid;
       if (valid == 0) {
         // Even the magic was torn; the file holds nothing committed.
         std::error_code ec;
         std::filesystem::remove(path, ec);
-        segments_deleted_->Increment();
+        cells_.segments_deleted->Increment();
         continue;
       }
       if (::truncate(path.c_str(), static_cast<off_t>(valid)) != 0) {
@@ -396,7 +382,7 @@ Status WriteAheadLog::RotateLocked() {
   if (Status s = WriteAllLocked(kSegmentMagic, kMagicLen); !s.ok()) return s;
   seg.bytes = kMagicLen;
   segments_.push_back(std::move(seg));
-  segments_created_->Increment();
+  cells_.segments_created->Increment();
   dirty_ = true;
   return SyncDir(options_.dir);
 }
@@ -421,7 +407,7 @@ Status WriteAheadLog::FsyncLocked() {
   }
   if (fd_ >= 0 && dirty_) {
     if (::fsync(fd_) != 0) return ErrnoError("WAL: fsync");
-    fsyncs_->Increment();
+    cells_.fsyncs->Increment();
     dirty_ = false;
     last_sync_ = clock_->Now();
   }
@@ -472,8 +458,8 @@ Status WriteAheadLog::Append(uint64_t seqno, std::string_view payload) {
   active.max_seqno = seqno;
   active.empty = false;
   dirty_ = true;
-  appends_->Increment();
-  bytes_->Increment(frame.size());
+  cells_.appends->Increment();
+  cells_.bytes_appended->Increment(frame.size());
 
   switch (options_.sync_policy) {
     case SyncPolicy::kPerCommit:
@@ -576,7 +562,7 @@ Status WriteAheadLog::WriteCheckpoint(uint64_t seqno, std::string_view image) {
     return ErrnoError("WAL: rename " + tmp);
   }
   if (Status s = SyncDir(options_.dir); !s.ok()) return s;
-  checkpoints_->Increment();
+  cells_.checkpoints->Increment();
   return Status::Ok();
 }
 
@@ -623,7 +609,7 @@ Result<size_t> WriteAheadLog::TruncateThrough(uint64_t through_seqno) {
                               ec.message());
     }
     segments_.erase(segments_.begin());
-    segments_deleted_->Increment();
+    cells_.segments_deleted->Increment();
     ++deleted;
   }
   // Keep the two newest checkpoint images: the newest, plus one fallback in
@@ -657,14 +643,7 @@ uint64_t WriteAheadLog::torn_bytes_dropped() const {
 }
 
 WalStats WriteAheadLog::stats() const {
-  WalStats s;
-  s.appends = appends_->value();
-  s.fsyncs = fsyncs_->value();
-  s.bytes_appended = bytes_->value();
-  s.checkpoints = checkpoints_->value();
-  s.segments_created = segments_created_->value();
-  s.segments_deleted = segments_deleted_->value();
-  s.torn_tails = torn_tails_->value();
+  WalStats s = cells_.Snapshot();
   std::lock_guard<std::mutex> lock(mutex_);
   s.torn_bytes_dropped = torn_bytes_;
   return s;

@@ -125,15 +125,25 @@ struct WalOptions : OptionsBase {
   Status Validate() const;
 };
 
-// Counter snapshot (also exported as nagano_wal_*_total).
+// Every WalStats counter, declared once (see common/metrics.h).
+#define NAGANO_WAL_METRICS(X)                                                 \
+  X(Counter, appends, "nagano_wal_appends_total",                             \
+    "records appended to the write-ahead log")                                \
+  X(Counter, fsyncs, "nagano_wal_fsyncs_total", "fsync calls on WAL segments") \
+  X(Counter, bytes_appended, "nagano_wal_bytes_total",                        \
+    "bytes appended to the write-ahead log")                                  \
+  X(Counter, checkpoints, "nagano_wal_checkpoints_total",                     \
+    "checkpoint images written")                                              \
+  X(Counter, segments_created, "nagano_wal_segments_created_total",           \
+    "WAL segment files created")                                              \
+  X(Counter, segments_deleted, "nagano_wal_segments_deleted_total",           \
+    "WAL segment files retired")                                              \
+  X(Counter, torn_tails, "nagano_wal_torn_tails_total",                       \
+    "torn frames truncated from the log tail at open")
+
 struct WalStats {
-  uint64_t appends = 0;
-  uint64_t fsyncs = 0;
-  uint64_t bytes_appended = 0;
-  uint64_t checkpoints = 0;
-  uint64_t segments_created = 0;
-  uint64_t segments_deleted = 0;
-  uint64_t torn_tails = 0;        // torn frames truncated at Open
+  NAGANO_METRIC_FIELDS(NAGANO_WAL_METRICS)
+  // This log's own count, not a registry cell.
   uint64_t torn_bytes_dropped = 0;
 };
 
@@ -228,13 +238,8 @@ class WriteAheadLog {
   bool wedged_ = false;   // torn append injected; reopen to recover
   uint64_t torn_bytes_ = 0;
 
-  metrics::Counter* appends_;
-  metrics::Counter* fsyncs_;
-  metrics::Counter* bytes_;
-  metrics::Counter* checkpoints_;
-  metrics::Counter* segments_created_;
-  metrics::Counter* segments_deleted_;
-  metrics::Counter* torn_tails_;
+  NAGANO_METRIC_CELLS(Cells, NAGANO_WAL_METRICS, WalStats);
+  Cells cells_;
 };
 
 // --- sharded stream set -----------------------------------------------------

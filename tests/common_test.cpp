@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <set>
@@ -260,6 +261,45 @@ TEST(HistogramTest, PercentileWithinBucketError) {
   for (double q : {0.5, 0.9, 0.99}) {
     const double exact = values[static_cast<size_t>(q * (values.size() - 1))];
     EXPECT_NEAR(h.Percentile(q), exact, exact * 0.05) << "q=" << q;
+  }
+}
+
+// Property: every percentile is the upper bound of the bucket holding the
+// exact sorted-sample quantile (same rank rule), so it lies within one
+// sub-bucket (1/64 relative) above it — for any magnitude from 1e-6 to 1e9,
+// sub-unit values included.
+TEST(HistogramTest, PercentilesWithinOneBucketFrom1eMinus6To1e9) {
+  constexpr double kOneBucket = 1.0 / 64;
+  Rng rng(97);
+  std::vector<std::vector<double>> sample_sets;
+  // Log-uniform across the whole range.
+  std::vector<double> wide;
+  for (int i = 0; i < 20000; ++i) {
+    wide.push_back(std::pow(10.0, -6.0 + 15.0 * rng.NextDouble()));
+  }
+  sample_sets.push_back(std::move(wide));
+  // One narrow set per decade: most of the percentiles share an octave.
+  for (int decade = -6; decade <= 8; ++decade) {
+    std::vector<double> narrow;
+    for (int i = 0; i < 2000; ++i) {
+      narrow.push_back(std::pow(10.0, decade + rng.NextDouble()));
+    }
+    sample_sets.push_back(std::move(narrow));
+  }
+  for (const std::vector<double>& samples : sample_sets) {
+    Histogram h;
+    for (double x : samples) h.Add(x);
+    std::vector<double> sorted = samples;
+    std::sort(sorted.begin(), sorted.end());
+    for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 1.0}) {
+      const auto rank =
+          static_cast<size_t>(q * static_cast<double>(sorted.size() - 1));
+      const double exact = sorted[rank];
+      const double p = h.Percentile(q);
+      EXPECT_GE(p, exact) << "q=" << q << " exact=" << exact;
+      EXPECT_LE(p, exact * (1.0 + kOneBucket))
+          << "q=" << q << " exact=" << exact;
+    }
   }
 }
 

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <sstream>
 #include <string>
@@ -10,9 +15,17 @@
 #include <vector>
 
 #include "cache/object_cache.h"
+#include "cluster/fabric.h"
 #include "core/serving_site.h"
+#include "db/database.h"
+#include "dispatch/dispatcher.h"
 #include "http/client.h"
+#include "http/server.h"
+#include "odg/graph.h"
+#include "pagegen/renderer.h"
 #include "server/serving.h"
+#include "trigger/trigger_monitor.h"
+#include "wal/wal.h"
 
 namespace nagano::metrics {
 namespace {
@@ -288,6 +301,115 @@ TEST(LegacyStatsViewTest, TwoCachesInOneRegistryNeverAlias) {
   EXPECT_EQ(first.stats().hits, 1u);
   EXPECT_EQ(second.stats().hits, 0u);
   EXPECT_EQ(second.stats().entries, 0u);
+}
+
+// --- metric identity golden ------------------------------------------------
+
+std::string_view TypeName(MetricType type) {
+  switch (type) {
+    case MetricType::kCounter: return "counter";
+    case MetricType::kGauge: return "gauge";
+    case MetricType::kHistogram: return "histogram";
+  }
+  return "unknown";
+}
+
+// "<name> <type> <label keys, comma-separated> <help>" for every cell the
+// nine stats()-bearing subsystems register: cache, trigger, serving, http,
+// dispatch, wal, renderer, fabric and the ODG graph. Construction alone
+// registers every cell, so nothing is started. The database the trigger
+// monitor needs registers into the default registry, keeping its cells out
+// of the set.
+std::set<std::string> SubsystemMetricIdentities() {
+  MetricRegistry registry;
+  auto scoped = [&registry](std::string instance) {
+    return Options{&registry, std::move(instance)};
+  };
+
+  cache::ObjectCache::Options cache_options;
+  cache_options.metrics = scoped("golden");
+  cache::ObjectCache cache(cache_options);
+  odg::ObjectDependenceGraph graph(scoped("golden"));
+  pagegen::RendererOptions renderer_options;
+  renderer_options.metrics = scoped("golden");
+  pagegen::PageRenderer renderer(&graph, &cache, renderer_options);
+
+  db::Database db{db::DatabaseOptions{}};
+  trigger::TriggerOptions trigger_options;
+  trigger_options.metrics = scoped("golden");
+  trigger::TriggerMonitor monitor(
+      &db, &graph, &cache, &renderer,
+      [](const db::ChangeRecord&) { return std::vector<std::string>{}; },
+      trigger_options);
+
+  server::DynamicPageServer::Options serve_options;
+  serve_options.metrics = scoped("golden");
+  server::DynamicPageServer program(&cache, &renderer, serve_options);
+
+  http::HttpServer::Options http_options;
+  http_options.metrics = scoped("golden-http");
+  http::HttpServer http_server(
+      [](const http::HttpRequest&) { return http::HttpResponse{}; },
+      http_options);
+
+  dispatch::DispatcherOptions dispatch_options;
+  dispatch_options.metrics = scoped("golden-dispatch");
+  dispatch::Dispatcher dispatcher(
+      {dispatch::BackendAddress{"127.0.0.1", 1, "b0"}}, dispatch_options);
+
+  char dir_template[] = "/tmp/nagano_golden_XXXXXX";
+  const char* dir = ::mkdtemp(dir_template);
+  EXPECT_NE(dir, nullptr);
+  wal::WalOptions wal_options;
+  wal_options.dir = dir ? dir : "";
+  wal_options.metrics = scoped("golden-wal");
+  EXPECT_TRUE(wal::WriteAheadLog::Open(wal_options).ok());  // closed again
+
+  const SimClock clock;
+  cluster::FabricOptions fabric_options = cluster::FabricOptions::Olympic(
+      cluster::RegionCosts::OlympicDefault(), &clock);
+  fabric_options.metrics = scoped("golden-fabric");
+  cluster::ServingFabric fabric(std::move(fabric_options));
+
+  std::set<std::string> identities;
+  for (const Sample& sample : registry.Snapshot()) {
+    std::string keys;
+    for (const auto& [key, value] : sample.labels) {
+      keys += (keys.empty() ? "" : ",") + key;
+    }
+    identities.insert(sample.name + " " + std::string(TypeName(sample.type)) +
+                      " " + keys + " " + sample.help);
+  }
+  if (dir) std::filesystem::remove_all(dir);
+  return identities;
+}
+
+// The /metrics exposition contract: every metric name, type, help string
+// and label-key set the subsystems register, checked against
+// tests/metrics_identity.golden. Set NAGANO_UPDATE_GOLDEN=1 to rewrite the
+// file after an intended change to the exposition.
+TEST(MetricIdentityTest, SubsystemMetricsMatchGolden) {
+  const std::set<std::string> actual = SubsystemMetricIdentities();
+  ASSERT_FALSE(actual.empty());
+  if (const char* update = std::getenv("NAGANO_UPDATE_GOLDEN");
+      update && std::string(update) == "1") {
+    std::ofstream out(NAGANO_METRICS_GOLDEN);
+    for (const std::string& line : actual) out << line << "\n";
+  }
+  std::ifstream in(NAGANO_METRICS_GOLDEN);
+  ASSERT_TRUE(in.good()) << "missing " << NAGANO_METRICS_GOLDEN;
+  std::set<std::string> golden;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty()) golden.insert(line);
+  }
+  std::vector<std::string> missing;
+  std::vector<std::string> extra;
+  std::set_difference(golden.begin(), golden.end(), actual.begin(),
+                      actual.end(), std::back_inserter(missing));
+  std::set_difference(actual.begin(), actual.end(), golden.begin(),
+                      golden.end(), std::back_inserter(extra));
+  for (const std::string& line : missing) ADD_FAILURE() << "missing: " << line;
+  for (const std::string& line : extra) ADD_FAILURE() << "unexpected: " << line;
 }
 
 // --- admin surface over a real socket ------------------------------------------

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "cache/object_cache.h"
+#include "core/serving_site.h"
 #include "http/client.h"
 #include "odg/graph.h"
 #include "pagegen/renderer.h"
@@ -171,6 +174,89 @@ TEST_F(ServerProgramTest, HttpFrontEndHeadOmitsBody) {
   EXPECT_EQ(resp.value().status, 200);
   EXPECT_TRUE(resp.value().body.empty());
   front.Stop();
+}
+
+// --- VerifyCacheConsistency on composition plans --------------------------
+
+pagegen::OlympicConfig PlanSiteConfig() {
+  pagegen::OlympicConfig config;
+  config.days = 2;
+  config.num_sports = 2;
+  config.events_per_sport = 2;
+  config.languages = {"en"};
+  return config;
+}
+
+std::unique_ptr<core::ServingSite> MakePlanSite(size_t cache_capacity_bytes) {
+  core::SiteOptions options;
+  options.olympic = PlanSiteConfig();
+  options.cache_capacity_bytes = cache_capacity_bytes;
+  auto site_or = core::ServingSite::Create(std::move(options));
+  EXPECT_TRUE(site_or.ok()) << site_or.status().message();
+  return site_or.ok() ? std::move(site_or.value()) : nullptr;
+}
+
+// Fragment chunks of cached plans whose pinned snapshot is no longer the
+// fragment's live entry.
+size_t PlansPinningRetiredSnapshots(const cache::ObjectCache& cache) {
+  size_t retired = 0;
+  for (const auto& [key, object] : cache.Snapshot()) {
+    for (const cache::PlanChunk& chunk : object->plan) {
+      if (chunk.is_fragment() && cache.Peek(chunk.fragment) != chunk.source) {
+        ++retired;
+      }
+    }
+  }
+  return retired;
+}
+
+TEST(VerifyCacheConsistencyTest, BoundedCacheEvictingPinnedFragmentsPasses) {
+  // A cache holding half the site's bytes: prefetching evicts, and a read
+  // pass in reverse order re-renders evicted pages, re-storing the
+  // fragments they splice as new snapshots with the same bytes while older
+  // plans still pin the previous ones.
+  auto unbounded = MakePlanSite(0);
+  ASSERT_NE(unbounded, nullptr);
+  ASSERT_TRUE(unbounded->PrefetchAll().ok());
+  const size_t site_bytes = unbounded->cache().bytes();
+
+  auto site = MakePlanSite(site_bytes / 2);
+  ASSERT_NE(site, nullptr);
+  ASSERT_TRUE(site->PrefetchAll().ok());
+  std::vector<std::string> pages =
+      pagegen::OlympicSite::AllPageNames(PlanSiteConfig(), site->db());
+  std::reverse(pages.begin(), pages.end());
+  for (const std::string& page : pages) (void)site->page_server().Serve(page);
+  ASSERT_GT(site->cache().stats().evictions, 0u);
+  ASSERT_GT(PlansPinningRetiredSnapshots(site->cache()), 0u);
+
+  auto verified = site->VerifyCacheConsistency();
+  EXPECT_TRUE(verified.ok()) << verified.status().message();
+}
+
+TEST(VerifyCacheConsistencyTest, PlanPinningBytesTheLiveFragmentChangedFails) {
+  auto site = MakePlanSite(0);
+  ASSERT_NE(site, nullptr);
+  ASSERT_TRUE(site->PrefetchAll().ok());
+  ASSERT_TRUE(site->VerifyCacheConsistency().ok());
+
+  // Replace one pinned fragment's live bytes without patching the plans
+  // that embed it.
+  std::string fragment;
+  for (const auto& [key, object] : site->cache().Snapshot()) {
+    for (const cache::PlanChunk& chunk : object->plan) {
+      if (chunk.is_fragment()) fragment = chunk.fragment;
+    }
+    if (!fragment.empty()) break;
+  }
+  ASSERT_FALSE(fragment.empty()) << "no composition plan pins a fragment";
+  site->cache().Put(fragment, "<p>changed behind the plan's back</p>");
+
+  auto verified = site->VerifyCacheConsistency();
+  ASSERT_FALSE(verified.ok());
+  EXPECT_NE(verified.status().message().find("differ from the live entry"),
+            std::string::npos)
+      << verified.status().message();
 }
 
 }  // namespace
