@@ -34,7 +34,6 @@ namespace nagano::core {
 struct SiteOptions : OptionsBase {
   pagegen::OlympicConfig olympic;
   trigger::TriggerOptions trigger;
-  server::CostModel costs;
   // The site's caches use ObjectCache::Options' default shard count.
   size_t cache_capacity_bytes = 0;  // 0 = unbounded, the paper configuration
   // Per-node serving caches behind the composing cache (Fig. 6: eight
@@ -61,18 +60,9 @@ struct SiteOptions : OptionsBase {
   // change_log_retention; 0 = unbounded).
   size_t change_log_retention = 0;
   // Keep invalidated cache entries reachable for degraded serving
-  // (ObjectCache retain_stale); pairs with serve_stale_on_error below.
+  // (ObjectCache retain_stale). The site's page servers take the
+  // DynamicPageServer::Options defaults plus this site's clock and metrics.
   bool retain_stale = false;
-  // Serving-path resilience: bounded retry on transient generation
-  // failures, per-request deadline budget, last-known-good fallback.
-  server::RetryOptions retry;
-  TimeNs default_deadline = 0;      // 0 = unbounded
-  bool serve_stale_on_error = true;
-  // Stampede defenses (server/serving.h): single-flight coalescing of
-  // concurrent same-key misses, and a bound on renders in flight (0 = no
-  // admission control).
-  bool coalesce_renders = true;
-  size_t max_concurrent_renders = 0;
   // Fragment-first composition (pagegen::RendererOptions::compose_pages):
   // pages embedding fragments are cached as composition plans — static
   // chunks + pinned fragment refs — so a fragment commit patches every

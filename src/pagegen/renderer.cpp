@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
+
+#include "common/clock.h"
 
 namespace nagano::pagegen {
 namespace {
@@ -19,7 +20,7 @@ constexpr std::string_view kFragMarkClose = "\x02\x01";
 // and rendering on its own. Only a cross-thread include cycle (two leaders
 // mutually waiting on each other's fragments) can hit this; the fallback
 // render then reports the cycle through the ordinary stack check.
-constexpr std::chrono::seconds kFlightFallback{2};
+constexpr TimeNs kFlightFallback = 2 * kSecond;
 
 RendererOptions WithMetrics(const metrics::Options& metrics_options) {
   RendererOptions options;
@@ -103,53 +104,20 @@ Result<std::string> PageRenderer::RenderInternal(std::string_view page,
 
   // RenderOnly keeps fresh-render semantics, so only caching renders
   // coalesce.
-  if (!store || !options_.coalesce_renders) {
-    return RenderUncoalesced(page_name, *generator, store, state);
-  }
+  if (!store) return RenderUncoalesced(page_name, *generator, store, state);
 
-  std::shared_ptr<RenderFlight> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    auto it = flights_.find(page_name);
-    if (it == flights_.end()) {
-      flight = std::make_shared<RenderFlight>();
-      flights_.emplace(page_name, flight);
-      leader = true;
-    } else {
-      flight = it->second;
-    }
-  }
-
-  if (leader) {
+  const auto flight = flights_.Join(page_name, /*deadline=*/0);
+  if (flight.leader) {
     Result<std::string> body =
         RenderUncoalesced(page_name, *generator, store, state);
-    {
-      // Retire the flight before publishing: late arrivals start a fresh
-      // render against the now-populated cache instead of joining a
-      // finished one.
-      std::lock_guard<std::mutex> lock(flights_mutex_);
-      auto it = flights_.find(page_name);
-      if (it != flights_.end() && it->second == flight) flights_.erase(it);
-    }
-    {
-      std::lock_guard<std::mutex> lock(flight->mutex);
-      flight->body = body;
-      flight->done = true;
-    }
-    flight->cv.notify_all();
+    flights_.Publish(page_name, flight, body);
     return body;
   }
-
-  {
-    std::unique_lock<std::mutex> lock(flight->mutex);
-    if (flight->cv.wait_for(lock, kFlightFallback,
-                            [&] { return flight->done; })) {
-      Result<std::string> body = flight->body;
-      lock.unlock();
-      cells_.renders_coalesced->Increment();
-      return body;
-    }
+  const Clock& clock = RealClock::Instance();
+  if (auto body = flights_.Await(flight, clock.Now() + kFlightFallback,
+                                 clock)) {
+    cells_.renders_coalesced->Increment();
+    return *std::move(body);
   }
   // Leader stuck (cross-thread include cycle): render independently; the
   // stack check in the recursive render reports genuine cycles.

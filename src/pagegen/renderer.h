@@ -10,7 +10,6 @@
 // what a page actually contains.
 #pragma once
 
-#include <condition_variable>
 #include <functional>
 #include <map>
 #include <memory>
@@ -18,13 +17,13 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/object_cache.h"
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/result.h"
+#include "common/single_flight.h"
 #include "common/stats.h"
 #include "odg/graph.h"
 #include "pagegen/template.h"
@@ -91,9 +90,6 @@ struct RendererOptions : OptionsBase {
   // fragment; every embedding page is patched by fragment swap. false is
   // the whole-page baseline the fanout bench compares against.
   bool compose_pages = true;
-  // Coalesce concurrent renders of the same object into one generator run
-  // (single-flight, per object name — fragments included).
-  bool coalesce_renders = true;
   metrics::Options metrics;
 
   Status Validate() const { return Status::Ok(); }
@@ -130,15 +126,6 @@ class PageRenderer {
     std::vector<std::string> stack;  // active renders, for cycle detection
   };
 
-  // One in-progress render that concurrent requests for the same object
-  // attach to instead of running the generator again.
-  struct RenderFlight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    Result<std::string> body{std::string()};  // overwritten at publish
-  };
-
   Result<std::string> RenderInternal(std::string_view page, bool store,
                                      RenderState& state);
   // The actual generator run (no single-flight): runs the generator, splits
@@ -156,8 +143,9 @@ class PageRenderer {
   cache::ObjectCache* cache_;
   RendererOptions options_;
 
-  std::mutex flights_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<RenderFlight>> flights_;
+  // In-progress caching renders by object name (fragments included):
+  // concurrent requests for one object adopt its single generator run.
+  SingleFlight<Result<std::string>> flights_;
 
   // Registration happens at site construction; every render takes the
   // shared side, so the trigger monitor's parallel re-render workers never

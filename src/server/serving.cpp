@@ -122,15 +122,14 @@ ServeOutcome DynamicPageServer::Serve(std::string_view path, bool include_body,
   return out;
 }
 
-Result<std::string> DynamicPageServer::GenerateWithRetry(std::string_view path,
-                                                         TimeNs deadline,
-                                                         uint32_t* retries,
-                                                         Flight* flight) {
+Result<std::string> DynamicPageServer::GenerateWithRetry(
+    std::string_view path, TimeNs deadline, uint32_t* retries,
+    const Flights::Ticket* flight) {
   const RetryOptions& retry = options_.retry;
   TimeNs backoff = retry.initial_backoff;
   Status last = InternalError("no attempt made");
   for (uint32_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
-    auto body = ShouldCache(path) ? renderer_->RenderAndCache(path)
+    auto body = flight != nullptr ? renderer_->RenderAndCache(path)
                                   : renderer_->RenderOnly(path);
     if (body.ok()) return body;
     last = body.status();
@@ -150,11 +149,8 @@ Result<std::string> DynamicPageServer::GenerateWithRetry(std::string_view path,
     // (new waiters joined) — refresh it before deciding whether to go on.
     // When the horizon has passed, every participant's deadline has
     // expired: the render is abandoned, not just this request's budget.
-    TimeNs effective = deadline;
-    if (flight != nullptr) {
-      std::lock_guard<std::mutex> lock(flight->mutex);
-      effective = flight->unbounded ? 0 : flight->horizon;
-    }
+    const TimeNs effective =
+        flight != nullptr ? flights_.Horizon(*flight) : deadline;
     if (effective != 0 && clock_->Now() + pause >= effective) {
       cells_.deadline_exceeded->Increment();
       if (flight != nullptr) cells_.renders_cancelled->Increment();
@@ -177,15 +173,13 @@ ServeOutcome DynamicPageServer::DegradeToStale(std::string_view path,
                                                Status error) {
   ServeOutcome out;
   out.error = error;
-  if (options_.serve_stale_on_error) {
-    if (auto stale = cache_->LookupStale(path)) {
-      cells_.stale_serves->Increment();
-      out.cls = ServeClass::kDegradedStale;
-      out.cpu_cost = options_.costs.cached_dynamic;
-      out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
-      FillCachedEntity(out, stale, include_body);
-      return out;
-    }
+  if (auto stale = cache_->LookupStale(path)) {
+    cells_.stale_serves->Increment();
+    out.cls = ServeClass::kDegradedStale;
+    out.cpu_cost = options_.costs.cached_dynamic;
+    out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
+    FillCachedEntity(out, stale, include_body);
+    return out;
   }
   cells_.errors->Increment();
   out.cls = ServeClass::kError;
@@ -219,17 +213,15 @@ ServeOutcome DynamicPageServer::Shed(std::string_view path, bool include_body,
   // Stale-if-error beats rejection: a viewer with a slightly old page is
   // better off than a viewer with a 503 (the paper's availability-first
   // stance, extended to overload).
-  if (options_.serve_stale_on_error) {
-    if (auto stale = cache_->LookupStale(path)) {
-      cells_.stale_serves->Increment();
-      cells_.shed_softened->Increment();
-      out.cls = ServeClass::kDegradedStale;
-      out.cpu_cost = options_.costs.cached_dynamic;
-      out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
-      out.error = std::move(why);
-      FillCachedEntity(out, stale, include_body);
-      return out;
-    }
+  if (auto stale = cache_->LookupStale(path)) {
+    cells_.stale_serves->Increment();
+    cells_.shed_softened->Increment();
+    out.cls = ServeClass::kDegradedStale;
+    out.cpu_cost = options_.costs.cached_dynamic;
+    out.stale_age = std::max<TimeNs>(0, clock_->Now() - stale->stored_at);
+    out.error = std::move(why);
+    FillCachedEntity(out, stale, include_body);
+    return out;
   }
   cells_.shed->Increment();
   out.cls = ServeClass::kRejected;
@@ -269,43 +261,21 @@ void DynamicPageServer::CountAdopted(const ServeOutcome& outcome) {
 ServeOutcome DynamicPageServer::RenderCoalesced(std::string_view path,
                                                 bool include_body,
                                                 TimeNs deadline) {
-  std::string key(path);
-  std::shared_ptr<Flight> flight;
-  bool leader = false;
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    auto it = flights_.find(key);
-    if (it != flights_.end()) {
-      // Join the in-flight render; our deadline extends its horizon.
-      flight = it->second;
-      std::lock_guard<std::mutex> flight_lock(flight->mutex);
-      if (deadline == 0) {
-        flight->unbounded = true;
-      } else {
-        flight->horizon = std::max(flight->horizon, deadline);
-      }
-    } else if (TryAdmitRender()) {
-      flight = std::make_shared<Flight>();
-      if (deadline == 0) {
-        flight->unbounded = true;
-      } else {
-        flight->horizon = deadline;
-      }
-      flights_.emplace(std::move(key), flight);
-      leader = true;
-    }
-  }
-  if (flight == nullptr) {
+  // Our deadline extends an open flight's horizon; a new flight needs a
+  // render slot.
+  const Flights::Ticket flight = flights_.Join(
+      std::string(path), deadline, [this] { return TryAdmitRender(); });
+  if (!flight) {
     return Shed(path, include_body,
                 ResourceExhaustedError("render queue full"));
   }
-  if (leader) return LeadRender(path, include_body, deadline, flight.get());
+  if (flight.leader) return LeadRender(path, include_body, deadline, &flight);
   return AwaitFlight(flight, path, include_body, deadline);
 }
 
 ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
                                            bool include_body, TimeNs deadline,
-                                           Flight* flight) {
+                                           const Flights::Ticket* flight) {
   ServeOutcome out;
   auto body = GenerateWithRetry(path, deadline, &out.retries, flight);
   ReleaseRender();
@@ -314,6 +284,12 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
     out.cls = ServeClass::kCacheMissGenerated;
     out.cpu_cost = options_.costs.generate_dynamic;
     out.bytes = body.value().size();
+    if (flight == nullptr) {
+      // A never-cache page is ours alone to give away — moving it is free,
+      // so the body travels regardless of include_body.
+      out.body = std::move(body).value();
+      return out;
+    }
     // Serve by reference: RenderAndCache just stored the page, so alias the
     // cached object and the whole fan-out — leader, waiters, and the HTTP
     // write path — shares one ref-counted copy (misses are zero-copy too).
@@ -335,52 +311,33 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
     out.cls = ServeClass::kNotFound;
     out.cpu_cost = options_.costs.not_found;
   } else {
+    // Retries exhausted: elegant degradation — last-known-good copy over a
+    // 500.
     const uint32_t retries = out.retries;
     out = DegradeToStale(path, include_body, body.status());
     out.retries = retries;
   }
-  // Publish: drop the map entry first so post-completion arrivals start
-  // fresh (they normally just hit the cache), then wake the waiters.
-  {
-    std::lock_guard<std::mutex> lock(flights_mutex_);
-    flights_.erase(std::string(path));
-  }
-  {
-    std::lock_guard<std::mutex> flight_lock(flight->mutex);
+  if (flight != nullptr) {
     ServeOutcome shared = out;
     shared.body.clear();  // waiters copy from body_ref only if asked to
-    flight->outcome = std::move(shared);
-    flight->done = true;
+    flights_.Publish(std::string(path), *flight, std::move(shared));
+    if (include_body && out.body.empty()) CopySharedBody(out);
   }
-  flight->cv.notify_all();
-  if (include_body && out.body.empty()) CopySharedBody(out);
   return out;
 }
 
-ServeOutcome DynamicPageServer::AwaitFlight(
-    const std::shared_ptr<Flight>& flight, std::string_view path,
-    bool include_body, TimeNs deadline) {
+ServeOutcome DynamicPageServer::AwaitFlight(const Flights::Ticket& flight,
+                                            std::string_view path,
+                                            bool include_body,
+                                            TimeNs deadline) {
   cells_.coalesced->Increment();
   const TimeNs wait_start = clock_->Now();
-  bool timed_out = false;
-  std::unique_lock<std::mutex> lock(flight->mutex);
-  while (!flight->done) {
-    if (deadline != 0 && clock_->Now() >= deadline) {
-      timed_out = true;
-      break;
-    }
-    // Slice the wait so a deadline (possibly on a clock nobody notifies
-    // about) is noticed promptly; publication wakes us via notify_all.
-    flight->cv.wait_for(lock, std::chrono::milliseconds(5));
-  }
   ServeOutcome out;
-  if (!timed_out) {
-    out = flight->outcome;  // body empty; the refs are shared
-    lock.unlock();
+  if (auto shared = flights_.Await(flight, deadline, *clock_)) {
+    out = *std::move(shared);  // body empty; the refs are shared
     CountAdopted(out);
     if (include_body) CopySharedBody(out);
   } else {
-    lock.unlock();
     cells_.coalesce_timeouts->Increment();
     out = DegradeToStale(
         path, include_body,
@@ -412,7 +369,8 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
 
   // 2. Dynamic page cache. A transient lookup error (the cache path is
   // down) is NOT a miss: fall through to generation, which may still work.
-  if (ShouldCache(path)) {
+  const bool cacheable = ShouldCache(path);
+  if (cacheable) {
     auto cached = cache_->TryLookup(path);
     if (cached.ok()) {
       cells_.cache_hits->Increment();
@@ -434,36 +392,14 @@ ServeOutcome DynamicPageServer::ServeInternal(std::string_view path,
       return Shed(path, include_body,
                   UnavailableError("deadline spent before render started"));
     }
-    if (options_.coalesce_renders && ShouldCache(path)) {
-      return RenderCoalesced(path, include_body, deadline);
-    }
-    // Uncoalesced render (coalescing off, or a personalized never-cache
-    // page): every request renders for itself but still holds a slot.
+    if (cacheable) return RenderCoalesced(path, include_body, deadline);
+    // A personalized never-cache page: every request renders for itself
+    // but still holds a slot.
     if (!TryAdmitRender()) {
       return Shed(path, include_body,
                   ResourceExhaustedError("render queue full"));
     }
-    auto body = GenerateWithRetry(path, deadline, &out.retries);
-    ReleaseRender();
-    if (body.ok()) {
-      cells_.cache_misses->Increment();
-      out.cls = ServeClass::kCacheMissGenerated;
-      out.cpu_cost = options_.costs.generate_dynamic;
-      out.bytes = body.value().size();
-      // The freshly rendered page is ours to give away — moving it is free,
-      // so the body travels regardless of include_body (there is no shared
-      // copy the caller could reference instead).
-      out.body = std::move(body).value();
-      return out;
-    }
-    if (body.status().code() != ErrorCode::kNotFound) {
-      // 4. Retries exhausted: elegant degradation — last-known-good copy
-      // over a 500.
-      const uint32_t retries = out.retries;
-      out = DegradeToStale(path, include_body, body.status());
-      out.retries = retries;
-      return out;
-    }
+    return LeadRender(path, include_body, deadline, /*flight=*/nullptr);
   }
 
   cells_.not_found->Increment();

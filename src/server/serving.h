@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -28,7 +27,6 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/object_cache.h"
@@ -37,6 +35,7 @@
 #include "common/options.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/single_flight.h"
 #include "common/stats.h"
 #include "http/message.h"
 #include "http/server.h"
@@ -166,24 +165,19 @@ class DynamicPageServer {
   struct Options : OptionsBase {
     CostModel costs;
     // Pages the program declines to cache (per-request personalization in a
-    // real deployment). Prefix match; empty = cache everything.
+    // real deployment). Prefix match; empty = cache everything. Concurrent
+    // misses on every other page coalesce into one render (single-flight);
+    // a never-cache page renders once per request.
     std::vector<std::string> never_cache_prefixes;
 
-    // Retry policy for transient generation failures.
+    // Retry policy for transient generation failures. When generation fails
+    // outright (retries exhausted or deadline hit) the cache's
+    // last-known-good copy is served as kDegradedStale instead of kError;
+    // the cache needs retain_stale to also cover invalidated entries.
     RetryOptions retry;
     // Deadline budget applied when Serve() is called without an explicit
     // deadline. 0 = unbounded.
     TimeNs default_deadline = 0;
-    // When generation fails outright (retries exhausted or deadline hit),
-    // serve the cache's last-known-good copy as kDegradedStale instead of
-    // kError. Needs the cache constructed with retain_stale to also cover
-    // invalidated entries.
-    bool serve_stale_on_error = true;
-    // Single-flight render coalescing: when N requests miss on the same
-    // cacheable key concurrently, one render runs and every participant
-    // shares the resulting ref-counted body. Never applies to
-    // never_cache_prefixes pages (each one is personalized by definition).
-    bool coalesce_renders = true;
     // Admission control: maximum renders in flight at once (coalesced
     // flights count once, however many waiters share them). A miss that
     // cannot start a render is shed — preferably softened to the
@@ -224,33 +218,24 @@ class DynamicPageServer {
   const CostModel& costs() const { return options_.costs; }
 
  private:
-  // One in-flight render that concurrent same-key misses attach to. The
-  // leader (the request that created the flight) renders; waiters block on
-  // `cv` and adopt the published outcome, whose body travels by body_ref so
-  // the whole fan-out shares one ref-counted copy.
-  struct Flight {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-    ServeOutcome outcome;  // published by the leader; body via body_ref only
-    // Deadline horizon: the latest deadline across every participant. When
-    // the clock passes it (and no participant is unbounded) the leader
-    // abandons the render — nobody is left who could use the result.
-    TimeNs horizon = 0;
-    bool unbounded = false;  // some participant has no deadline
-  };
+  // In-flight renders of cacheable pages, by page key. A waiter adopts the
+  // leader's outcome, whose body travels by body_ref only, so the whole
+  // fan-out shares one ref-counted copy.
+  using Flights = SingleFlight<ServeOutcome>;
 
   ServeOutcome ServeInternal(std::string_view path, bool include_body,
                              TimeNs deadline);
   bool ShouldCache(std::string_view path) const;
-  // Generation with bounded retry; fills retries on the outcome. When
-  // `flight` is set, the retry schedule is bounded by the flight's deadline
-  // horizon (which waiters may extend) instead of the leader's own deadline.
+  // Generation with bounded retry; fills retries on the outcome. With a
+  // `flight`, the page is rendered into the cache and the retry schedule is
+  // bounded by the flight's deadline horizon (which waiters may extend)
+  // instead of the leader's own deadline; without one it is rendered
+  // uncached.
   Result<std::string> GenerateWithRetry(std::string_view path, TimeNs deadline,
                                         uint32_t* retries,
-                                        Flight* flight = nullptr);
+                                        const Flights::Ticket* flight);
   // The degraded fallback: last-known-good copy, or kError when there is
-  // none (or the policy is off).
+  // none.
   ServeOutcome DegradeToStale(std::string_view path, bool include_body,
                               Status error);
   // Admission-controlled render of a cacheable page: join an in-flight
@@ -259,12 +244,12 @@ class DynamicPageServer {
   ServeOutcome RenderCoalesced(std::string_view path, bool include_body,
                                TimeNs deadline);
   // Leads one render (admission slot already held) and publishes the
-  // outcome to `flight` if non-null.
+  // outcome to `flight`; a never-cache page renders with no flight.
   ServeOutcome LeadRender(std::string_view path, bool include_body,
-                          TimeNs deadline, Flight* flight);
+                          TimeNs deadline, const Flights::Ticket* flight);
   // Blocks until the flight publishes, or this waiter's own deadline
   // expires; adopts the shared outcome.
-  ServeOutcome AwaitFlight(const std::shared_ptr<Flight>& flight,
+  ServeOutcome AwaitFlight(const Flights::Ticket& flight,
                            std::string_view path, bool include_body,
                            TimeNs deadline);
   // Admission control: reserve/release one of max_concurrent_renders slots.
@@ -295,12 +280,8 @@ class DynamicPageServer {
   std::mutex backoff_mutex_;
   Rng backoff_rng_;
 
-  // In-flight renders by page key. Entries are removed before the outcome
-  // is published, so a request arriving after completion starts fresh (and
-  // normally just hits the cache).
-  std::mutex flights_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
-  // Renders currently running (leaders + uncoalesced), for admission.
+  Flights flights_;
+  // Renders currently running (leaders + never-cache), for admission.
   std::atomic<size_t> active_renders_{0};
 
   NAGANO_METRIC_CELLS(Cells, NAGANO_SERVE_METRICS, ServeStats);

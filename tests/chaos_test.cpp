@@ -878,20 +878,6 @@ TEST_F(DegradedServingTest, ErrorWhenNoLastKnownGoodExists) {
   EXPECT_EQ(server.stats().stale_serves, 0u);
 }
 
-TEST_F(DegradedServingTest, StaleFallbackCanBeDisabled) {
-  server::DynamicPageServer::Options options;
-  options.serve_stale_on_error = false;
-  server::DynamicPageServer server = MakeServer(std::move(options));
-
-  (void)server.Serve("/chaos/flaky", true);  // prime
-  EXPECT_TRUE(site_->cache().Invalidate("/chaos/flaky"));
-  fail_ = true;
-
-  const auto outcome = server.Serve("/chaos/flaky", true);
-  EXPECT_EQ(outcome.cls, server::ServeClass::kError);
-  EXPECT_EQ(server.stats().stale_serves, 0u);
-}
-
 TEST_F(DegradedServingTest, DeadlineCutsRetryBudgetShort) {
   server::DynamicPageServer::Options options;
   options.retry.max_attempts = 6;

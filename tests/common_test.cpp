@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "common/queue.h"
 #include "common/result.h"
 #include "common/rng.h"
+#include "common/single_flight.h"
 #include "common/stats.h"
 #include "common/thread_pool.h"
 
@@ -531,6 +536,111 @@ TEST(InternerTest, ConcurrentInternConsistent) {
   for (int t = 1; t < 4; ++t) {
     for (int i = 0; i < 500; ++i) EXPECT_EQ(ids[t][i], ids[0][i]);
   }
+}
+
+// --- SingleFlight ------------------------------------------------------------
+
+// N threads join one key before anything is published: exactly one leads,
+// and every waiter adopts the very object the leader published.
+TEST(SingleFlightTest, ConcurrentJoinersShareOneLeaderAndOneValue) {
+  using Value = std::shared_ptr<const std::string>;
+  constexpr int kThreads = 16;
+  SingleFlight<Value> flights;
+  const Value published = std::make_shared<const std::string>("one render");
+  std::atomic<int> joined{0};
+  std::atomic<int> leaders{0};
+  std::vector<Value> adopted(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      const auto ticket = flights.Join("/medals", /*deadline=*/0);
+      joined.fetch_add(1);
+      if (ticket.leader) {
+        leaders.fetch_add(1);
+        while (joined.load() < kThreads) std::this_thread::yield();
+        flights.Publish("/medals", ticket, published);
+        adopted[i] = published;
+        return;
+      }
+      auto value = flights.Await(ticket, /*deadline=*/0,
+                                 RealClock::Instance());
+      ASSERT_TRUE(value.has_value());
+      adopted[i] = *value;
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(leaders.load(), 1);
+  for (const Value& value : adopted) EXPECT_EQ(value.get(), published.get());
+}
+
+TEST(SingleFlightTest, JoinAfterPublishLeadsANewFlight) {
+  SingleFlight<int> flights;
+  const auto first = flights.Join("k", 0);
+  ASSERT_TRUE(first.leader);
+  flights.Publish("k", first, 1);
+
+  const auto second = flights.Join("k", 0);
+  EXPECT_TRUE(second.leader);
+  EXPECT_NE(second.flight, first.flight);
+  // The finished flight still hands its value to anyone holding it.
+  EXPECT_EQ(flights.Await(first, 0, RealClock::Instance()), 1);
+  flights.Publish("k", second, 2);
+  EXPECT_EQ(flights.Await(second, 0, RealClock::Instance()), 2);
+}
+
+// A waiter whose deadline passes on a SimClock gives up on its own; the
+// leader is untouched and still publishes to the flight.
+TEST(SingleFlightTest, WaiterDeadlineOnSimClockReturnsEmpty) {
+  SimClock clock(0);
+  SingleFlight<int> flights;
+  const auto leader = flights.Join("k", 0);
+  const auto waiter = flights.Join("k", 100);
+  ASSERT_TRUE(leader.leader);
+  ASSERT_FALSE(waiter.leader);
+
+  std::optional<int> result = 7;
+  std::thread waiting([&] { result = flights.Await(waiter, 100, clock); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  clock.AdvanceTo(100);
+  waiting.join();
+  EXPECT_FALSE(result.has_value());
+
+  flights.Publish("k", leader, 42);
+  EXPECT_EQ(flights.Await(waiter, 100, clock), 42);
+  EXPECT_TRUE(flights.Join("k", 0).leader);  // the key was retired
+}
+
+TEST(SingleFlightTest, HorizonIsTheLatestDeadlineUntilOneIsUnbounded) {
+  SingleFlight<int> flights;
+  const auto leader = flights.Join("k", 50);
+  EXPECT_EQ(flights.Horizon(leader), 50);
+  (void)flights.Join("k", 80);
+  EXPECT_EQ(flights.Horizon(leader), 80);
+  (void)flights.Join("k", 60);
+  EXPECT_EQ(flights.Horizon(leader), 80);
+  (void)flights.Join("k", 0);  // one participant without a deadline
+  EXPECT_EQ(flights.Horizon(leader), 0);
+  (void)flights.Join("k", 100);
+  EXPECT_EQ(flights.Horizon(leader), 0);
+}
+
+TEST(SingleFlightTest, RefusedLeaderCreatesNoFlight) {
+  SingleFlight<int> flights;
+  const auto refused = flights.Join("k", 0, [] { return false; });
+  EXPECT_FALSE(refused);
+  EXPECT_FALSE(refused.leader);
+
+  const auto leader = flights.Join("k", 0);
+  EXPECT_TRUE(leader.leader);  // no flight was left behind
+  // With a flight open, may_lead is not consulted at all.
+  bool consulted = false;
+  const auto waiter = flights.Join("k", 0, [&] {
+    consulted = true;
+    return false;
+  });
+  EXPECT_TRUE(waiter);
+  EXPECT_FALSE(waiter.leader);
+  EXPECT_FALSE(consulted);
 }
 
 }  // namespace
