@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
 #include <functional>
 #include <iterator>
 
@@ -23,11 +24,12 @@ size_t EntryFootprint(const std::string& key, const CachedObject& obj) {
 // on every store so Content-Length and the version stamp always match the
 // entity bytes they travel with.
 void BuildEntityHeaders(CachedObject& obj) {
-  obj.entity_headers = "Content-Length: ";
-  obj.entity_headers += std::to_string(obj.entity_size());
-  obj.entity_headers += "\r\nX-Nagano-Version: ";
-  obj.entity_headers += std::to_string(obj.version);
-  obj.entity_headers += "\r\n";
+  char buf[96];
+  const int n = std::snprintf(buf, sizeof(buf),
+                              "Content-Length: %zu\r\nX-Nagano-Version: %llu\r\n",
+                              obj.entity_size(),
+                              static_cast<unsigned long long>(obj.version));
+  obj.entity_headers.assign(buf, static_cast<size_t>(n));
 }
 
 size_t SumPlanBytes(const std::vector<PlanChunk>& plan) {
@@ -81,7 +83,7 @@ const ObjectCache::Shard& ObjectCache::ShardFor(std::string_view key) const {
 std::shared_ptr<const CachedObject> ObjectCache::Lookup(std::string_view key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it == shard.map.end() || it->second.object->stale) {
     cells_.misses->Increment();
     return nullptr;
@@ -105,34 +107,35 @@ std::shared_ptr<const CachedObject> ObjectCache::LookupStale(
     std::string_view key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   return it == shard.map.end() ? nullptr : it->second.object;
 }
 
 std::shared_ptr<const CachedObject> ObjectCache::Peek(std::string_view key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it == shard.map.end() || it->second.object->stale) return nullptr;
   return it->second.object;
 }
 
-uint64_t ObjectCache::Put(std::string_view key, std::string body) {
+std::shared_ptr<const CachedObject> ObjectCache::Put(std::string_view key,
+                                                     std::string body) {
   auto obj = std::make_shared<CachedObject>();
   obj->body = std::move(body);
   return Store(key, std::move(obj));
 }
 
-uint64_t ObjectCache::PutPlan(std::string_view key,
-                              std::vector<PlanChunk> plan) {
+std::shared_ptr<const CachedObject> ObjectCache::PutPlan(
+    std::string_view key, std::vector<PlanChunk> plan) {
   auto obj = std::make_shared<CachedObject>();
   obj->plan = std::move(plan);
   obj->plan_bytes = SumPlanBytes(obj->plan);
   return Store(key, std::move(obj));
 }
 
-uint64_t ObjectCache::Store(std::string_view key,
-                            std::shared_ptr<CachedObject> obj) {
+std::shared_ptr<const CachedObject> ObjectCache::Store(
+    std::string_view key, std::shared_ptr<CachedObject> obj) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
 
@@ -163,15 +166,16 @@ uint64_t ObjectCache::Store(std::string_view key,
   const size_t footprint = EntryFootprint(k, *obj);
 
   Entry& entry = shard.map[std::move(k)];
-  entry.object = std::move(obj);
+  entry.object = obj;
   entry.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
   shard.bytes += footprint;
   bytes_gauge_->Add(static_cast<double>(footprint));
 
   if (capacity_bytes_ != 0) {
+    // May evict the entry just stored; the returned snapshot stays valid.
     EvictLocked(shard, capacity_bytes_ / shards_.size());
   }
-  return version;
+  return obj;
 }
 
 uint64_t ObjectCache::PatchPlan(std::string_view key) {
@@ -204,7 +208,7 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
 
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   // Compare object identity: if a concurrent Put/Invalidate replaced the
   // entry since the snapshot above, that writer wins and the patch aborts.
   if (it == shard.map.end() || it->second.object != current) return 0;
@@ -230,7 +234,7 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
 uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   // Stale-retained counts as absent: a regeneration racing the
   // invalidation must not resurrect the entry as live.
   if (it == shard.map.end() || it->second.object->stale) return 0;
@@ -261,12 +265,12 @@ uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
 void ObjectCache::Pin(std::string_view key, bool pinned) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it != shard.map.end()) it->second.pinned = pinned;
 }
 
 bool ObjectCache::InvalidateLocked(
-    Shard& shard, std::unordered_map<std::string, Entry>::iterator it) {
+    Shard& shard, EntryMap::iterator it) {
   if (it->second.object->stale) return false;  // already downgraded
   if (retain_stale_) {
     // Downgrade to last-known-good: same body and stored_at, marked stale.
@@ -288,7 +292,7 @@ bool ObjectCache::InvalidateLocked(
 bool ObjectCache::Invalidate(std::string_view key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(std::string(key));
+  auto it = shard.map.find(key);
   if (it == shard.map.end()) return false;
   return InvalidateLocked(shard, it);
 }
@@ -328,8 +332,11 @@ bool ObjectCache::Contains(std::string_view key) const {
 
 void ObjectCache::EvictLocked(Shard& shard, size_t budget) {
   while (shard.bytes > budget) {
-    // Smallest lru_tick among unpinned entries. Linear scan: eviction never
-    // fires in the paper configuration, so this path is cold by design.
+    // Smallest lru_tick among unpinned entries, by linear scan of the
+    // shard. Eviction never fires in the paper configuration (unbounded
+    // cache), but a bounded cache evicts on most stores once full — the
+    // benchmark's cold_tail workload evicts 1.3-1.4 objects per read — so
+    // every eviction there pays a scan of the whole shard.
     auto victim = shard.map.end();
     for (auto it = shard.map.begin(); it != shard.map.end(); ++it) {
       if (it->second.pinned) continue;

@@ -210,8 +210,10 @@ class ObjectCache {
   std::shared_ptr<const CachedObject> Peek(std::string_view key) const;
 
   // Insert or update-in-place. The version is bumped past the entry's
-  // current version automatically; returns the stored version.
-  uint64_t Put(std::string_view key, std::string body);
+  // current version automatically; returns the stored snapshot (its
+  // version is ->version).
+  std::shared_ptr<const CachedObject> Put(std::string_view key,
+                                          std::string body);
 
   // Update-in-place only if `key` is present; returns the new version, or 0
   // without storing when the key is absent. The trigger monitor's
@@ -224,7 +226,8 @@ class ObjectCache {
   // refs) under `key`. Same versioning and eviction semantics as Put; the
   // entity headers are computed from the summed chunk lengths. Fragment
   // chunks must carry a non-null flat `source` snapshot.
-  uint64_t PutPlan(std::string_view key, std::vector<PlanChunk> plan);
+  std::shared_ptr<const CachedObject> PutPlan(std::string_view key,
+                                              std::vector<PlanChunk> plan);
 
   // Fragment swap: re-pin every fragment chunk of `key`'s plan to the
   // fragment's *current* cached snapshot, recompute Content-Length from the
@@ -271,9 +274,19 @@ class ObjectCache {
     bool pinned = false;
   };
 
+  // Transparent hashing, so lookups by string_view build no key string.
+  struct KeyHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view key) const noexcept {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using EntryMap =
+      std::unordered_map<std::string, Entry, KeyHash, std::equal_to<>>;
+
   struct Shard {
     mutable std::mutex mutex;
-    std::unordered_map<std::string, Entry> map;
+    EntryMap map;
     size_t bytes = 0;
     size_t stale = 0;  // entries currently held as stale-retained
   };
@@ -282,15 +295,16 @@ class ObjectCache {
   const Shard& ShardFor(std::string_view key) const;
   // Shared insert/replace path behind Put and PutPlan: assigns the next
   // version, stamps headers and the clock, and does the footprint/LRU
-  // bookkeeping.
-  uint64_t Store(std::string_view key, std::shared_ptr<CachedObject> obj);
+  // bookkeeping. Returns the stored snapshot.
+  std::shared_ptr<const CachedObject> Store(std::string_view key,
+                                            std::shared_ptr<CachedObject> obj);
   // Evict LRU unpinned entries from `shard` until its bytes fit the
   // per-shard budget. Caller holds the shard lock.
   void EvictLocked(Shard& shard, size_t budget);
   // Erase or (under retain_stale) downgrade one entry. Caller holds the
   // shard lock; returns true when the entry was live before the call.
   bool InvalidateLocked(Shard& shard,
-                        std::unordered_map<std::string, Entry>::iterator it);
+                        EntryMap::iterator it);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t capacity_bytes_;

@@ -105,6 +105,11 @@ class Histogram {
     std::lock_guard<std::mutex> lock(mutex_);
     return h_.count();
   }
+  // nagano::Histogram::Percentile, computed in place (no snapshot copy).
+  double Percentile(double q) const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return h_.Percentile(q);
+  }
 
  private:
   mutable std::mutex mutex_;

@@ -172,8 +172,7 @@ server::HealthReport ServingSite::Health() const {
                               std::to_string(backlog_bound));
   }
   // The paper's freshness promise: updates visible within sixty seconds.
-  const Histogram propagation = trigger_->stats().propagation_latency_ms;
-  if (propagation.count() > 0 && propagation.Percentile(0.99) > 60'000.0) {
+  if (trigger_->PropagationLatencyMs(0.99) > 60'000.0) {
     report.problems.push_back("propagation p99 above the 60 s freshness bound");
   }
   // An administratively draining site fails /healthz so the dispatcher
@@ -218,11 +217,11 @@ ServingSite::~ServingSite() {
 Result<size_t> ServingSite::PrefetchAll() {
   size_t cached = 0;
   auto prefetch = [&](const std::string& object) -> Status {
-    auto body = renderer_->RenderAndCache(object);
-    if (!body.ok()) return body.status();
+    auto stored = renderer_->RenderAndCache(object);
+    if (!stored.ok()) return stored.status();
     // Fleet mode: distribute the freshly composed copy to every serving
     // node, as the SMP did to the eight UPs.
-    if (fleet_ != nullptr) fleet_->PutAll(object, body.value());
+    if (fleet_ != nullptr) fleet_->PutAll(object, stored.value()->Materialize());
     ++cached;
     return Status::Ok();
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <thread>
@@ -13,8 +14,8 @@ namespace nagano::db {
 std::string KeyString(const Value& v) {
   if (const auto* i = std::get_if<int64_t>(&v)) {
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(*i));
-    return buf;
+    const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), *i);
+    return std::string(buf, end);
   }
   if (const auto* d = std::get_if<double>(&v)) {
     char buf[48];
@@ -97,6 +98,27 @@ Database::Database(DatabaseOptions options)
 // --- WAL payload codec ------------------------------------------------------
 
 namespace {
+
+// Shared locks on every shard of `shards`, taken in ascending order (the
+// global lock order) and released together. Unlike a vector of
+// std::shared_lock it allocates nothing, which matters on the render path.
+template <typename Shards>
+class SharedLockAll {
+ public:
+  explicit SharedLockAll(const Shards& shards) : shards_(shards) {
+    for (const auto& shard : shards_) shard->mutex.lock_shared();
+  }
+  ~SharedLockAll() {
+    for (auto it = shards_.rbegin(); it != shards_.rend(); ++it) {
+      (*it)->mutex.unlock_shared();
+    }
+  }
+  SharedLockAll(const SharedLockAll&) = delete;
+  SharedLockAll& operator=(const SharedLockAll&) = delete;
+
+ private:
+  const Shards& shards_;
+};
 
 void EncodeValue(wal::Encoder& e, const Value& v) {
   if (const auto* i = std::get_if<int64_t>(&v)) {
@@ -535,6 +557,14 @@ Status Database::ApplyReplicated(const ChangeRecord& change) {
 // --- query ------------------------------------------------------------------
 
 Result<Row> Database::Get(std::string_view table, const Value& key) const {
+  Row row;
+  const Status s = ReadRow(table, key, [&row](const Row& r) { row = r; });
+  if (!s.ok()) return s;
+  return row;
+}
+
+Status Database::ReadRow(std::string_view table, const Value& key,
+                         FunctionRef<void(const Row&)> visit) const {
   const std::string name(table);
   {
     std::shared_lock lock(schema_mutex_);
@@ -553,21 +583,41 @@ Result<Row> Database::Get(std::string_view table, const Value& key) const {
   if (row_it == pit->second.rows.end()) {
     return NotFoundError("Get: no row " + pk);
   }
-  return row_it->second;
+  visit(row_it->second);
+  return Status::Ok();
 }
 
 std::vector<Row> Database::Scan(
     std::string_view table, const std::function<bool(const Row&)>& pred) const {
+  std::vector<Row> out;
+  ForEachRow(table, [&](const Row& row) {
+    if (pred(row)) out.push_back(row);
+  });
+  return out;
+}
+
+std::vector<Row> Database::ScanAll(std::string_view table) const {
+  std::vector<Row> out;
+  ForEachRow(table, [&out](const Row& row) { out.push_back(row); });
+  return out;
+}
+
+void Database::ForEachRow(std::string_view table,
+                          FunctionRef<void(const Row&)> visit) const {
   const std::string name(table);
   std::shared_lock schema_lock(schema_mutex_);
-  if (schemas_.find(name) == schemas_.end()) return {};
+  if (schemas_.find(name) == schemas_.end()) return;
   // Lock every shard (ascending — the global lock order) for an atomic
   // snapshot, then merge partitions back into primary-key order so the
   // result is byte-identical regardless of the shard count.
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+  const SharedLockAll locks(shards_);
+  size_t rows = 0;
+  for (const auto& shard : shards_) {
+    auto pit = shard->tables.find(name);
+    if (pit != shard->tables.end()) rows += pit->second.rows.size();
+  }
   std::vector<std::pair<const std::string*, const Row*>> merged;
+  merged.reserve(rows);
   for (const auto& shard : shards_) {
     auto pit = shard->tables.find(name);
     if (pit == shard->tables.end()) continue;
@@ -577,15 +627,7 @@ std::vector<Row> Database::Scan(
   }
   std::sort(merged.begin(), merged.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  std::vector<Row> out;
-  for (const auto& [_, row] : merged) {
-    if (pred(*row)) out.push_back(*row);
-  }
-  return out;
-}
-
-std::vector<Row> Database::ScanAll(std::string_view table) const {
-  return Scan(table, [](const Row&) { return true; });
+  for (const auto& [_, row] : merged) visit(*row);
 }
 
 Status Database::CreateIndex(std::string_view table, std::string_view column) {
@@ -649,10 +691,19 @@ bool Database::HasIndex(std::string_view table, std::string_view column) const {
 std::vector<Row> Database::Lookup(std::string_view table,
                                   std::string_view column,
                                   const Value& value) const {
+  std::vector<Row> out;
+  ForEachMatch(table, column, value,
+               [&out](const Row& row) { out.push_back(row); });
+  return out;
+}
+
+void Database::ForEachMatch(std::string_view table, std::string_view column,
+                            const Value& value,
+                            FunctionRef<void(const Row&)> visit) const {
   const std::string name(table);
   std::shared_lock schema_lock(schema_mutex_);
   auto it = schemas_.find(name);
-  if (it == schemas_.end()) return {};
+  if (it == schemas_.end()) return;
   const TableSchema& schema = it->second;
   size_t column_index = schema.columns.size();
   for (size_t i = 0; i < schema.columns.size(); ++i) {
@@ -661,15 +712,13 @@ std::vector<Row> Database::Lookup(std::string_view table,
       break;
     }
   }
-  if (column_index == schema.columns.size()) return {};
+  if (column_index == schema.columns.size()) return;
   const bool indexed =
       std::find(schema.indexed_columns.begin(), schema.indexed_columns.end(),
                 column_index) != schema.indexed_columns.end();
   const std::string needle = KeyString(value);
 
-  std::vector<std::shared_lock<std::shared_mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) locks.emplace_back(shard->mutex);
+  const SharedLockAll locks(shards_);
   // Collect matches per shard, then sort by primary key so the result
   // order matches the unsharded store exactly.
   std::vector<std::pair<const std::string*, const Row*>> merged;
@@ -680,8 +729,10 @@ std::vector<Row> Database::Lookup(std::string_view table,
     if (indexed) {
       auto index_it = p.indexes.find(column_index);
       if (index_it == p.indexes.end()) continue;
-      for (auto e = index_it->second.lower_bound(needle);
-           e != index_it->second.end() && e->first == needle; ++e) {
+      const auto [first, last] = index_it->second.equal_range(needle);
+      merged.reserve(merged.size() +
+                     static_cast<size_t>(std::distance(first, last)));
+      for (auto e = first; e != last; ++e) {
         auto row_it = p.rows.find(e->second);
         if (row_it != p.rows.end()) {
           merged.emplace_back(&row_it->first, &row_it->second);
@@ -697,10 +748,7 @@ std::vector<Row> Database::Lookup(std::string_view table,
   }
   std::sort(merged.begin(), merged.end(),
             [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  std::vector<Row> out;
-  out.reserve(merged.size());
-  for (const auto& [_, row] : merged) out.push_back(*row);
-  return out;
+  for (const auto& [_, row] : merged) visit(*row);
 }
 
 size_t Database::RowCount(std::string_view table) const {

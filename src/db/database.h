@@ -42,6 +42,7 @@
 
 #include "common/clock.h"
 #include "common/fault.h"
+#include "common/function_ref.h"
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/result.h"
@@ -239,16 +240,28 @@ class Database {
   bool HasIndex(std::string_view table, std::string_view column) const;
 
   // --- query ---
+  // Get, Scan, ScanAll and Lookup return copies. The visitor forms
+  // (ReadRow, ForEachRow, ForEachMatch) read rows in place under the shard
+  // read locks instead: `visit` must copy out what it keeps and must not
+  // call back into this database.
   Result<Row> Get(std::string_view table, const Value& key) const;
+  // kNotFound when the table or the row does not exist.
+  Status ReadRow(std::string_view table, const Value& key,
+                 FunctionRef<void(const Row&)> visit) const;
   // All rows for which pred returns true, in primary-key order (merged
   // across shards; the order is independent of the shard count).
   std::vector<Row> Scan(std::string_view table,
                         const std::function<bool(const Row&)>& pred) const;
   std::vector<Row> ScanAll(std::string_view table) const;
+  void ForEachRow(std::string_view table,
+                  FunctionRef<void(const Row&)> visit) const;
   // Rows whose `column` equals `value`, in primary-key order. Uses the
   // secondary index when one exists, otherwise degrades to a scan.
   std::vector<Row> Lookup(std::string_view table, std::string_view column,
                           const Value& value) const;
+  void ForEachMatch(std::string_view table, std::string_view column,
+                    const Value& value,
+                    FunctionRef<void(const Row&)> visit) const;
   size_t RowCount(std::string_view table) const;
 
   // --- durability (requires a WAL per shard) ---

@@ -46,6 +46,7 @@ NodeId ObjectDependenceGraph::EnsureNode(std::string_view node_name,
     kinds_.resize(id + 1, node_kind);
     out_.resize(id + 1);
     in_.resize(id + 1);
+    in_signature_.resize(id + 1);
     BumpVersionLocked();
   } else {
     const NodeKind widened = WidenKind(kinds_[id], node_kind);
@@ -55,6 +56,14 @@ NodeId ObjectDependenceGraph::EnsureNode(std::string_view node_name,
     }
   }
   return id;
+}
+
+bool ObjectDependenceGraph::InEdgesSigned(std::string_view node_name,
+                                          uint64_t signature) const {
+  std::shared_lock lock(mutex_);
+  const InternId id = names_.Lookup(node_name);
+  return signature != 0 && id != kInvalidInternId && id < kinds_.size() &&
+         in_signature_[id] == signature;
 }
 
 NodeId ObjectDependenceGraph::Find(std::string_view node_name) const {
@@ -75,6 +84,7 @@ Status ObjectDependenceGraph::AddDependence(NodeId from, NodeId to,
   if (weight <= 0.0) {
     return InvalidArgumentError("AddDependence: weight must be positive");
   }
+  in_signature_[to] = 0;
   for (Edge& e : out_[from]) {
     if (e.to == to) {  // re-weight existing edge
       if (e.weight != weight) {
@@ -108,6 +118,7 @@ Status ObjectDependenceGraph::RemoveDependence(NodeId from, NodeId to) {
     return NotFoundError("RemoveDependence: edge absent");
   }
   edges.erase(it);
+  in_signature_[to] = 0;
   auto& rev = in_[to];
   rev.erase(std::find_if(rev.begin(), rev.end(),
                          [from](const Edge& e) { return e.to == from; }));
@@ -127,6 +138,7 @@ void ObjectDependenceGraph::ClearInEdges(NodeId of) {
   }
   const bool changed = !in_[of].empty();
   in_[of].clear();
+  in_signature_[of] = 0;
   if (changed) BumpVersionLocked();
 }
 
@@ -146,7 +158,8 @@ bool ObjectDependenceGraph::InEdgesEqualLocked(
   return true;
 }
 
-void ObjectDependenceGraph::SetInEdges(NodeId of, std::vector<Edge> sources) {
+void ObjectDependenceGraph::SetInEdges(NodeId of, std::vector<Edge> sources,
+                                       uint64_t signature) {
   // Dedup keeping the last occurrence's weight; drop self-edges and
   // non-positive weights. Dependency lists are tens of entries, so the
   // quadratic scan beats hashing.
@@ -166,12 +179,18 @@ void ObjectDependenceGraph::SetInEdges(NodeId of, std::vector<Edge> sources) {
   {
     std::shared_lock lock(mutex_);
     if (of >= kinds_.size()) return;
-    if (InEdgesEqualLocked(of, desired)) return;
+    if (in_signature_[of] == signature && InEdgesEqualLocked(of, desired)) {
+      return;
+    }
   }
 
   std::unique_lock lock(mutex_);
   if (of >= kinds_.size()) return;
-  if (InEdgesEqualLocked(of, desired)) return;  // raced with an equal writer
+  if (InEdgesEqualLocked(of, desired)) {  // raced with an equal writer
+    in_signature_[of] = signature;
+    return;
+  }
+  in_signature_[of] = signature;
   for (const Edge& e : in_[of]) {
     auto& edges = out_[e.to];
     edges.erase(std::find_if(edges.begin(), edges.end(),

@@ -83,7 +83,16 @@ class ObjectDependenceGraph {
   // returns after a shared-lock comparison without writing — re-renders
   // that leave a page's dependencies unchanged (the steady state of the
   // parallel re-render pipeline) then never serialize on the write lock.
-  void SetInEdges(NodeId of, std::vector<Edge> sources);
+  //
+  // A nonzero `signature` — the caller's digest of the dependency list that
+  // produced `sources` — is remembered with the in-edges until anything
+  // else changes them, so a caller that records the same list again can
+  // ask InEdgesSigned and skip resolving it into node ids at all.
+  void SetInEdges(NodeId of, std::vector<Edge> sources, uint64_t signature = 0);
+
+  // True when `name` is a vertex whose in-edges were last set by
+  // SetInEdges with this (nonzero) signature and have not changed since.
+  bool InEdgesSigned(std::string_view name, uint64_t signature) const;
 
   bool HasEdge(NodeId from, NodeId to) const;
 
@@ -124,6 +133,9 @@ class ObjectDependenceGraph {
   std::vector<NodeKind> kinds_;          // indexed by NodeId
   std::vector<std::vector<Edge>> out_;   // out_[v] = edges v -> u
   std::vector<std::vector<Edge>> in_;    // in_[u]  = edges v -> u (to = source)
+  // in_signature_[u]: SetInEdges' signature for in_[u]; 0 once anything
+  // else has touched in_[u].
+  std::vector<uint64_t> in_signature_;
   size_t edge_count_ = 0;
   bool has_custom_weights_ = false;
 

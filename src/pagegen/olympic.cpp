@@ -1,9 +1,12 @@
 #include "pagegen/olympic.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <charconv>
 #include <cstdio>
+#include <functional>
+#include <memory>
 #include <optional>
 
 namespace nagano::pagegen {
@@ -121,19 +124,26 @@ const Chrome& ChromeFor(std::string_view lang) {
   return kEnglish;
 }
 
-void SetChrome(TemplateContext& ctx, std::string_view lang) {
+// The chrome every page of `lang` shares — language code, URL prefix and
+// localized labels — built once per language at registration and searched
+// as the parent scope of each page's context. Immutable once built, so
+// parallel renders share it freely.
+std::shared_ptr<const TemplateContext> MakeChrome(std::string_view lang) {
   const Chrome& c = ChromeFor(lang);
-  ctx.Set("lang", std::string(lang));
-  ctx.Set("L_day", c.day);
-  ctx.Set("L_medals", c.medal_standings);
-  ctx.Set("L_today", c.todays_events);
-  ctx.Set("L_news", c.latest_news);
-  ctx.Set("L_noevents", c.no_events);
-  ctx.Set("L_noresults", c.no_results);
-  ctx.Set("L_schedule", c.schedule);
-  ctx.Set("L_athletes", c.athletes);
-  ctx.Set("L_results", c.results);
-  ctx.Set("L_status", c.status);
+  auto ctx = std::make_shared<TemplateContext>();
+  ctx->Set("lang", lang)
+      .Set("p", PagePrefix(lang))
+      .Set("L_day", c.day)
+      .Set("L_medals", c.medal_standings)
+      .Set("L_today", c.todays_events)
+      .Set("L_news", c.latest_news)
+      .Set("L_noevents", c.no_events)
+      .Set("L_noresults", c.no_results)
+      .Set("L_schedule", c.schedule)
+      .Set("L_athletes", c.athletes)
+      .Set("L_results", c.results)
+      .Set("L_status", c.status);
+  return ctx;
 }
 
 // Languages for full page families (every page) and news-only extras.
@@ -212,10 +222,23 @@ class TemplateHolder {
     assert(compiled.ok() && "builtin template must compile");
     tmpl_ = std::make_unique<CompiledTemplate>(std::move(compiled).value());
   }
-  const CompiledTemplate& get() const { return *tmpl_; }
+
+  // Renders into one buffer reserved a little above the size this template
+  // produced last. A flat page keeps its buffer in the cache, so a buffer left more
+  // than a quarter empty (a short page after a long one) is trimmed.
+  std::string Render(const TemplateContext& context) const {
+    std::string out;
+    const size_t hint = size_hint_.load(std::memory_order_relaxed);
+    out.reserve(hint + hint / 8);
+    tmpl_->Render(context, out);
+    size_hint_.store(out.size(), std::memory_order_relaxed);
+    if (out.capacity() - out.size() > out.size() / 4) out.shrink_to_fit();
+    return out;
+  }
 
  private:
   std::unique_ptr<CompiledTemplate> tmpl_;
+  mutable std::atomic<size_t> size_hint_{0};
 };
 
 // --- templates -------------------------------------------------------------
@@ -355,49 +378,76 @@ count, and colouring pages for all {{sports}} sports.</p>
 )";
 
 // --- content helpers --------------------------------------------------------
+//
+// Generators read rows in place (Database::ReadRow / ForEachMatch) and copy
+// out only the columns a page shows, straight into its template context. A
+// visitor never calls back into the database, so what a page needs from a
+// second table is collected first and read afterwards.
 
-struct EventInfo {
-  int64_t id, sport_id, day;
-  std::string name, venue, status;
+// One results row's numbers, copied out of the row.
+struct ResultEntry {
+  int64_t event_id = 0;
+  int64_t rank = 0;
+  int64_t athlete_id = 0;
+  double score = 0.0;
 };
 
-std::optional<EventInfo> LoadEvent(const Database& db, int64_t event_id) {
-  auto row = db.Get("events", Value(event_id));
-  if (!row.ok()) return std::nullopt;
-  const Row& r = row.value();
-  return EventInfo{AsInt(r[events_col::kId]),     AsInt(r[events_col::kSportId]),
-                   AsInt(r[events_col::kDay]),    AsString(r[events_col::kName]),
-                   AsString(r[events_col::kVenue]),
-                   AsString(r[events_col::kStatus])};
+ResultEntry ToResult(const Row& r) {
+  return ResultEntry{AsInt(r[results_col::kEventId]),
+                     AsInt(r[results_col::kRank]),
+                     AsInt(r[results_col::kAthleteId]),
+                     AsDouble(r[results_col::kScore])};
 }
 
-std::vector<Row> ResultsForEvent(const Database& db, int64_t event_id) {
-  auto rows = db.Lookup("results", "event_id", Value(event_id));
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    return AsInt(a[results_col::kRank]) < AsInt(b[results_col::kRank]);
+// `event_id`'s results, ordered by rank.
+std::vector<ResultEntry> ResultsForEvent(const Database& db, int64_t event_id) {
+  std::vector<ResultEntry> results;
+  db.ForEachMatch("results", "event_id", Value(event_id),
+                  [&results](const Row& r) { results.push_back(ToResult(r)); });
+  std::sort(results.begin(), results.end(),
+            [](const ResultEntry& a, const ResultEntry& b) {
+              return a.rank < b.rank;
+            });
+  return results;
+}
+
+// Sets `key` to string column `column` of `table`'s row `id`, or to
+// `fallback` when there is no such row.
+template <typename Scope>
+void SetColumn(Scope& scope, std::string_view key, const Database& db,
+               std::string_view table, int64_t id, size_t column,
+               std::string_view fallback) {
+  const Status found = db.ReadRow(table, Value(id), [&](const Row& r) {
+    scope.Set(key, AsString(r[column]));
   });
-  return rows;
+  if (!found.ok()) scope.Set(key, fallback);
 }
 
-std::string AthleteName(const Database& db, int64_t athlete_id) {
-  auto row = db.Get("athletes", Value(athlete_id));
-  return row.ok() ? AsString(row.value()[athletes_col::kName]) : "(unknown)";
+// Sets "athlete" and "country" from one read of `athlete_id`'s row.
+template <typename Scope>
+void SetAthlete(Scope& scope, const Database& db, int64_t athlete_id) {
+  const Status found =
+      db.ReadRow("athletes", Value(athlete_id), [&scope](const Row& r) {
+        scope.Set("athlete", AsString(r[athletes_col::kName]))
+            .Set("country", AsString(r[athletes_col::kCountry]));
+      });
+  if (!found.ok()) scope.Set("athlete", "(unknown)").Set("country", "???");
 }
 
 std::string AthleteCountry(const Database& db, int64_t athlete_id) {
-  auto row = db.Get("athletes", Value(athlete_id));
-  return row.ok() ? AsString(row.value()[athletes_col::kCountry]) : "???";
+  std::string country = "???";
+  (void)db.ReadRow("athletes", Value(athlete_id), [&country](const Row& r) {
+    country = AsString(r[athletes_col::kCountry]);
+  });
+  return country;
 }
 
-std::string SportName(const Database& db, int64_t sport_id) {
-  auto row = db.Get("sports", Value(sport_id));
-  return row.ok() ? AsString(row.value()[sports_col::kName]) : "(unknown sport)";
-}
-
+// Same bytes as printf's %.2f.
 std::string FormatScore(double score) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.2f", score);
-  return buf;
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), score,
+                                       std::chars_format::fixed, 2);
+  return std::string(buf, end);
 }
 
 // Photos for (kind, subject), as an HTML strip; records the dependence on
@@ -407,13 +457,41 @@ std::string PhotoStrip(const Database& db, DependencyRecorder& deps,
                        std::string_view kind, std::string_view subject) {
   deps.DependsOnData(PhotoSubjectNode(kind, subject));
   std::string strip;
-  for (const Row& r : db.Lookup("photos", "subject_id", Value(std::string(subject)))) {
-    if (AsString(r[2]) != kind) continue;
-    strip += "<figure><img src=\"/img/" + std::to_string(AsInt(r[0])) +
-             ".jpg\"/><figcaption>" + HtmlEscape(AsString(r[1])) +
-             "</figcaption></figure>\n";
-  }
+  db.ForEachMatch("photos", "subject_id", Value(std::string(subject)),
+                  [&](const Row& r) {
+                    if (AsString(r[2]) != kind) return;
+                    strip += "<figure><img src=\"/img/";
+                    strip += std::to_string(AsInt(r[0]));
+                    strip += ".jpg\"/><figcaption>";
+                    HtmlEscapeTo(AsString(r[1]), strip);
+                    strip += "</figcaption></figure>\n";
+                  });
   return strip;
+}
+
+// Ids of the `limit` newest articles, newest first. Article rows are never
+// rewritten, so reading each one afterwards sees what this scan saw.
+std::vector<int64_t> NewestArticleIds(const Database& db, size_t limit) {
+  std::vector<int64_t> ids;
+  db.ForEachRow("news", [&ids](const Row& r) {
+    ids.push_back(AsInt(r[news_col::kId]));
+  });
+  std::sort(ids.begin(), ids.end(), std::greater<>());
+  if (ids.size() > limit) ids.resize(limit);
+  return ids;
+}
+
+// Adds one "articles" item per id (id, title, day) to `ctx`.
+void SetArticles(const Database& db, const std::vector<int64_t>& ids,
+                 TemplateContext& ctx) {
+  for (const int64_t id : ids) {
+    (void)db.ReadRow("news", Value(id), [&](const Row& r) {
+      ctx.AddItem("articles")
+          .Set("id", id)
+          .Set("title", AsString(r[news_col::kTitle]))
+          .Set("day", AsInt(r[news_col::kDay]));
+    });
+  }
 }
 
 }  // namespace
@@ -619,404 +697,371 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
   // Registers the news family (index, articles, latest-news fragment) for
   // `lang` — shared between full languages and the French news-only tier.
   auto register_news = [db, renderer](const std::string& lang) {
+    const std::shared_ptr<const TemplateContext> chrome = MakeChrome(lang);
+    const std::string latest_fragment = LatestNewsFragment(lang);
     renderer->RegisterExact(
-        LatestNewsFragment(lang),
-        [db, lang](const RenderRequest& req) -> Result<std::string> {
+        latest_fragment,
+        [db, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNewsFragmentTmpl);
           req.deps.DependsOnData(kNewsLatestNode);
-          auto rows = db->ScanAll("news");
-          std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-            return AsInt(a[news_col::kId]) > AsInt(b[news_col::kId]);
-          });
-          if (rows.size() > 5) rows.resize(5);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", PagePrefix(lang));
-          std::vector<TemplateContext> articles;
-          for (const Row& r : rows) {
-            articles.emplace_back()
-                .Set("id", AsInt(r[news_col::kId]))
-                .Set("title", AsString(r[news_col::kTitle]))
-                .Set("day", AsInt(r[news_col::kDay]));
-          }
-          ctx.SetList("articles", std::move(articles));
-          return tmpl.get().Render(ctx).body;
+          TemplateContext ctx(chrome.get());
+          SetArticles(*db, NewestArticleIds(*db, 5), ctx);
+          return tmpl.Render(ctx);
         });
 
     renderer->RegisterExact(
         NewsIndexPage(lang),
-        [db, lang](const RenderRequest& req) -> Result<std::string> {
+        [db, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNewsIndexTmpl);
           req.deps.DependsOnData(kNewsAllNode);
-          auto rows = db->ScanAll("news");
-          std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-            return AsInt(a[news_col::kId]) > AsInt(b[news_col::kId]);
-          });
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", PagePrefix(lang));
-          std::vector<TemplateContext> articles;
-          for (const Row& r : rows) {
-            articles.emplace_back()
-                .Set("id", AsInt(r[news_col::kId]))
-                .Set("title", AsString(r[news_col::kTitle]))
-                .Set("day", AsInt(r[news_col::kDay]));
-          }
-          ctx.SetList("articles", std::move(articles));
-          return tmpl.get().Render(ctx).body;
+          TemplateContext ctx(chrome.get());
+          SetArticles(*db, NewestArticleIds(*db, SIZE_MAX), ctx);
+          return tmpl.Render(ctx);
         });
 
     const std::string news_prefix = PagePrefix(lang) + "/news/";
     renderer->RegisterPrefix(
-        news_prefix,
-        [db, lang, news_prefix](const RenderRequest& req) -> Result<std::string> {
+        news_prefix, [db, chrome, news_prefix, latest_fragment](
+                         const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNewsPageTmpl);
           const auto id = ParseId(req.page, news_prefix);
           if (!id) return InvalidArgumentError("bad article id");
-          auto row = db->Get("news", Value(*id));
-          if (!row.ok()) return NotFoundError("no article " + std::to_string(*id));
+          TemplateContext ctx(chrome.get());
+          const Status found = db->ReadRow("news", Value(*id), [&](const Row& r) {
+            ctx.Set("title", AsString(r[news_col::kTitle]))
+                .Set("day", AsInt(r[news_col::kDay]))
+                .Set("body", AsString(r[news_col::kBody]));
+          });
+          if (!found.ok()) return NotFoundError("no article " + std::to_string(*id));
           req.deps.DependsOnData(NewsNode(*id));
-          const Row& r = row.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("title", AsString(r[news_col::kTitle]))
-              .Set("day", AsInt(r[news_col::kDay]))
-              .Set("body", AsString(r[news_col::kBody]));
-          auto latest = req.fragments(LatestNewsFragment(lang));
+          auto latest = req.fragments(latest_fragment);
           if (!latest.ok()) return latest.status();
           ctx.Set("latest_news", latest.value());
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
   };
 
   for (const std::string& lang : FullLanguages(config)) {
     const std::string p = PagePrefix(lang);
+    const std::shared_ptr<const TemplateContext> chrome = MakeChrome(lang);
+    const std::string medals_fragment = MedalsFragment(lang);
+    const std::string latest_fragment = LatestNewsFragment(lang);
 
     // "/" (or "/<lang>/") — welcome page listing the days.
     renderer->RegisterExact(
-        p + "/", [config, lang, p](const RenderRequest&) -> Result<std::string> {
+        p + "/", [config, chrome](const RenderRequest&) -> Result<std::string> {
           static const TemplateHolder tmpl(kWelcomeTmpl);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p);
-          std::vector<TemplateContext> days;
+          TemplateContext ctx(chrome.get());
           for (int d = 1; d <= config.days; ++d) {
-            days.emplace_back().Set("day", int64_t(d));
+            ctx.AddItem("days").Set("day", int64_t(d));
           }
-          ctx.SetList("days", std::move(days));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // frag:[lang:]event:<id> — event summary (Fig. 15's per-event fragment).
     const std::string event_frag_prefix = FragPrefix(lang) + "event:";
     renderer->RegisterPrefix(
         event_frag_prefix,
-        [db, lang, p, event_frag_prefix](
+        [db, chrome, event_frag_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kEventFragmentTmpl);
           const auto id = ParseId(req.page, event_frag_prefix);
           if (!id) return InvalidArgumentError("bad fragment id");
-          const auto event = LoadEvent(*db, *id);
-          if (!event) return NotFoundError("no event " + std::to_string(*id));
+          TemplateContext ctx(chrome.get());
+          ctx.Set("event_id", *id);
+          const Status found = db->ReadRow("events", Value(*id), [&](const Row& r) {
+            ctx.Set("event_name", AsString(r[events_col::kName]))
+                .Set("status", AsString(r[events_col::kStatus]))
+                .Set("venue", AsString(r[events_col::kVenue]));
+          });
+          if (!found.ok()) return NotFoundError("no event " + std::to_string(*id));
           // Results are the substance of the summary; the event row itself
           // (venue/name) rarely changes — Fig. 1-style weights.
           req.deps.DependsOnData(EventNode(*id), 2.0);
           req.deps.DependsOnData(ResultsEventNode(*id), 5.0);
 
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("event_id", *id)
-              .Set("event_name", event->name)
-              .Set("status", event->status)
-              .Set("venue", event->venue);
-          std::vector<TemplateContext> top;
-          for (const Row& r : ResultsForEvent(*db, *id)) {
-            if (top.size() >= 3) break;
-            const int64_t aid = AsInt(r[results_col::kAthleteId]);
-            top.emplace_back()
-                .Set("athlete", AthleteName(*db, aid))
-                .Set("country", AthleteCountry(*db, aid))
-                .Set("score", FormatScore(AsDouble(r[results_col::kScore])));
+          const std::vector<ResultEntry> results = ResultsForEvent(*db, *id);
+          for (size_t i = 0; i < results.size() && i < 3; ++i) {
+            const int64_t aid = results[i].athlete_id;
+            auto top = ctx.AddItem("top");
+            SetAthlete(top, *db, aid);
+            top.Set("score", FormatScore(results[i].score));
           }
-          ctx.SetList("top", std::move(top));
           ctx.Set("photos",
                   PhotoStrip(*db, req.deps, "event", std::to_string(*id)));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // frag:[lang:]medals — the medal standings table.
     renderer->RegisterExact(
-        MedalsFragment(lang),
-        [db, lang, p](const RenderRequest& req) -> Result<std::string> {
+        medals_fragment,
+        [db, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kMedalsFragmentTmpl);
           req.deps.DependsOnData(kMedalsAllNode);
-          auto rows = db->ScanAll("countries");
-          std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-            const auto ga = AsInt(a[countries_col::kGolds]);
-            const auto gb = AsInt(b[countries_col::kGolds]);
-            if (ga != gb) return ga > gb;
-            return AsString(a[countries_col::kCode]) <
-                   AsString(b[countries_col::kCode]);
-          });
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p);
-          std::vector<TemplateContext> out;
-          for (const Row& r : rows) {
+          // Medalist countries only, copied out of the rows (codes and
+          // names are short) and ranked by golds, then code.
+          struct Standing {
+            std::string code, name;
+            int64_t g, s, b;
+          };
+          std::vector<Standing> standings;
+          db->ForEachRow("countries", [&standings](const Row& r) {
             const int64_t g = AsInt(r[countries_col::kGolds]);
             const int64_t s = AsInt(r[countries_col::kSilvers]);
             const int64_t b = AsInt(r[countries_col::kBronzes]);
-            if (g + s + b == 0) continue;
-            out.emplace_back()
-                .Set("code", AsString(r[countries_col::kCode]))
-                .Set("name", AsString(r[countries_col::kName]))
-                .Set("g", g)
-                .Set("s", s)
-                .Set("b", b)
-                .Set("total", g + s + b);
+            if (g + s + b == 0) return;
+            standings.push_back(Standing{AsString(r[countries_col::kCode]),
+                                         AsString(r[countries_col::kName]), g,
+                                         s, b});
+          });
+          std::sort(standings.begin(), standings.end(),
+                    [](const Standing& a, const Standing& b) {
+                      if (a.g != b.g) return a.g > b.g;
+                      return a.code < b.code;
+                    });
+          TemplateContext ctx(chrome.get());
+          for (const Standing& c : standings) {
+            ctx.AddItem("rows")
+                .Set("code", c.code)
+                .Set("name", c.name)
+                .Set("g", c.g)
+                .Set("s", c.s)
+                .Set("b", c.b)
+                .Set("total", c.g + c.s + c.b);
           }
-          ctx.SetList("rows", std::move(out));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /day/<d> — the 1998 innovation: a home page per day, front-loading
     // the information clients previously needed 3+ navigations to reach.
     const std::string day_prefix = p + "/day/";
     renderer->RegisterPrefix(
-        day_prefix,
-        [db, lang, day_prefix](const RenderRequest& req) -> Result<std::string> {
+        day_prefix, [db, lang, chrome, day_prefix, medals_fragment,
+                     latest_fragment](
+                        const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kDayHomeTmpl);
           const auto day = ParseId(req.page, day_prefix);
           if (!day) return InvalidArgumentError("bad day");
           req.deps.DependsOnData(EventDayNode(*day));
 
-          auto events = db->Lookup("events", "day", Value(*day));
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          std::vector<int64_t> event_ids;
+          db->ForEachMatch("events", "day", Value(*day), [&](const Row& r) {
+            event_ids.push_back(AsInt(r[events_col::kId]));
+          });
+          TemplateContext ctx(chrome.get());
           ctx.Set("day", *day);
 
-          auto medal_table = req.fragments(MedalsFragment(lang));
+          auto medal_table = req.fragments(medals_fragment);
           if (!medal_table.ok()) return medal_table.status();
           ctx.Set("medal_table", medal_table.value());
 
-          std::vector<TemplateContext> event_items;
-          for (const Row& r : events) {
-            const int64_t eid = AsInt(r[events_col::kId]);
+          for (const int64_t eid : event_ids) {
             auto summary = req.fragments(EventFragment(eid, lang));
             if (!summary.ok()) return summary.status();
-            event_items.emplace_back().Set("summary", summary.value());
+            ctx.AddItem("events").Set("summary", summary.value());
           }
-          ctx.SetList("events", std::move(event_items));
 
-          auto latest = req.fragments(LatestNewsFragment(lang));
+          auto latest = req.fragments(latest_fragment);
           if (!latest.ok()) return latest.status();
           ctx.Set("latest_news", latest.value());
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /event/<id> — full result page.
     const std::string event_prefix = p + "/event/";
     renderer->RegisterPrefix(
         event_prefix,
-        [db, lang, p, event_prefix](
+        [db, chrome, event_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kEventPageTmpl);
           const auto id = ParseId(req.page, event_prefix);
           if (!id) return InvalidArgumentError("bad event id");
-          const auto event = LoadEvent(*db, *id);
-          if (!event) return NotFoundError("no event " + std::to_string(*id));
+          TemplateContext ctx(chrome.get());
+          int64_t sport_id = 0;
+          const Status found = db->ReadRow("events", Value(*id), [&](const Row& r) {
+            sport_id = AsInt(r[events_col::kSportId]);
+            ctx.Set("event_name", AsString(r[events_col::kName]))
+                .Set("day", AsInt(r[events_col::kDay]))
+                .Set("venue", AsString(r[events_col::kVenue]))
+                .Set("status", AsString(r[events_col::kStatus]));
+          });
+          if (!found.ok()) return NotFoundError("no event " + std::to_string(*id));
           req.deps.DependsOnData(EventNode(*id), 2.0);
           req.deps.DependsOnData(ResultsEventNode(*id), 5.0);
           req.deps.DependsOnData(MedalsEventNode(*id), 2.0);
 
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("event_name", event->name)
-              .Set("sport_name", SportName(*db, event->sport_id))
-              .Set("day", event->day)
-              .Set("venue", event->venue)
-              .Set("status", event->status);
-          std::vector<TemplateContext> results;
-          for (const Row& r : ResultsForEvent(*db, *id)) {
-            const int64_t aid = AsInt(r[results_col::kAthleteId]);
+          SetColumn(ctx, "sport_name", *db, "sports", sport_id,
+                    sports_col::kName, "(unknown sport)");
+          for (const ResultEntry& result : ResultsForEvent(*db, *id)) {
+            const int64_t aid = result.athlete_id;
             req.deps.DependsOnData(AthleteNode(aid));
-            results.emplace_back()
-                .Set("rank", AsInt(r[results_col::kRank]))
-                .Set("athlete_id", aid)
-                .Set("athlete", AthleteName(*db, aid))
-                .Set("country", AthleteCountry(*db, aid))
-                .Set("score", FormatScore(AsDouble(r[results_col::kScore])));
+            auto row = ctx.AddItem("results");
+            row.Set("rank", result.rank).Set("athlete_id", aid);
+            SetAthlete(row, *db, aid);
+            row.Set("score", FormatScore(result.score));
           }
-          ctx.SetList("results", std::move(results));
           ctx.Set("photos",
                   PhotoStrip(*db, req.deps, "event", std::to_string(*id)));
 
-          auto medal = db->Get("medals", Value(*id));
+          int64_t medalists[3] = {0, 0, 0};
+          const Status medal = db->ReadRow("medals", Value(*id), [&](const Row& m) {
+            medalists[0] = AsInt(m[medals_col::kGold]);
+            medalists[1] = AsInt(m[medals_col::kSilver]);
+            medalists[2] = AsInt(m[medals_col::kBronze]);
+          });
           if (medal.ok()) {
-            const Row& m = medal.value();
-            std::vector<TemplateContext> flag(1);
-            flag[0]
-                .Set("gold", AthleteName(*db, AsInt(m[medals_col::kGold])))
-                .Set("silver", AthleteName(*db, AsInt(m[medals_col::kSilver])))
-                .Set("bronze", AthleteName(*db, AsInt(m[medals_col::kBronze])));
-            ctx.SetList("has_medals", std::move(flag));
+            auto flag = ctx.AddItem("has_medals");
+            const char* const keys[] = {"gold", "silver", "bronze"};
+            for (size_t i = 0; i < 3; ++i) {
+              SetColumn(flag, keys[i], *db, "athletes", medalists[i],
+                        athletes_col::kName, "(unknown)");
+            }
           }
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /sport/<id> — sport page embedding its events' summary fragments.
     const std::string sport_prefix = p + "/sport/";
     renderer->RegisterPrefix(
         sport_prefix,
-        [db, lang, sport_prefix](const RenderRequest& req) -> Result<std::string> {
+        [db, lang, chrome, sport_prefix](
+            const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kSportPageTmpl);
           const auto id = ParseId(req.page, sport_prefix);
           if (!id) return InvalidArgumentError("bad sport id");
-          auto sport = db->Get("sports", Value(*id));
-          if (!sport.ok()) return NotFoundError("no sport " + std::to_string(*id));
+          TemplateContext ctx(chrome.get());
+          const Status found = db->ReadRow("sports", Value(*id), [&](const Row& r) {
+            ctx.Set("sport_name", AsString(r[sports_col::kName]));
+          });
+          if (!found.ok()) return NotFoundError("no sport " + std::to_string(*id));
           req.deps.DependsOnData(SportNode(*id));
           req.deps.DependsOnData(EventSportNode(*id));
 
-          auto events = db->Lookup("events", "sport_id", Value(*id));
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("sport_name", AsString(sport.value()[sports_col::kName]));
-          std::vector<TemplateContext> items;
-          for (const Row& r : events) {
-            const int64_t eid = AsInt(r[events_col::kId]);
+          std::vector<int64_t> event_ids;
+          db->ForEachMatch("events", "sport_id", Value(*id), [&](const Row& r) {
+            event_ids.push_back(AsInt(r[events_col::kId]));
+          });
+          for (const int64_t eid : event_ids) {
             auto summary = req.fragments(EventFragment(eid, lang));
             if (!summary.ok()) return summary.status();
-            items.emplace_back().Set("summary", summary.value());
+            ctx.AddItem("events").Set("summary", summary.value());
           }
-          ctx.SetList("events", std::move(items));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /athlete/<id> — the 1998 site's per-athlete collation of results.
     const std::string athlete_prefix = p + "/athlete/";
     renderer->RegisterPrefix(
         athlete_prefix,
-        [db, lang, p, athlete_prefix](
+        [db, chrome, athlete_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kAthletePageTmpl);
           const auto id = ParseId(req.page, athlete_prefix);
           if (!id) return InvalidArgumentError("bad athlete id");
-          auto athlete = db->Get("athletes", Value(*id));
-          if (!athlete.ok()) {
+          TemplateContext ctx(chrome.get());
+          int64_t sport_id = 0;
+          const Status found = db->ReadRow("athletes", Value(*id), [&](const Row& a) {
+            sport_id = AsInt(a[athletes_col::kSportId]);
+            ctx.Set("name", AsString(a[athletes_col::kName]))
+                .Set("country", AsString(a[athletes_col::kCountry]));
+          });
+          if (!found.ok()) {
             return NotFoundError("no athlete " + std::to_string(*id));
           }
           req.deps.DependsOnData(AthleteNode(*id), 2.0);
           req.deps.DependsOnData(ResultsAthleteNode(*id), 5.0);
 
-          const Row& a = athlete.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("name", AsString(a[athletes_col::kName]))
-              .Set("country", AsString(a[athletes_col::kCountry]))
-              .Set("sport_name",
-                   SportName(*db, AsInt(a[athletes_col::kSportId])));
-          auto results = db->Lookup("results", "athlete_id", Value(*id));
-          std::vector<TemplateContext> items;
-          for (const Row& r : results) {
-            const int64_t eid = AsInt(r[results_col::kEventId]);
-            const auto event = LoadEvent(*db, eid);
-            items.emplace_back()
-                .Set("event_id", eid)
-                .Set("event_name", event ? event->name : "(unknown)")
-                .Set("rank", AsInt(r[results_col::kRank]))
-                .Set("score", FormatScore(AsDouble(r[results_col::kScore])));
+          SetColumn(ctx, "sport_name", *db, "sports", sport_id,
+                    sports_col::kName, "(unknown sport)");
+          std::vector<ResultEntry> results;
+          db->ForEachMatch("results", "athlete_id", Value(*id), [&](const Row& r) {
+            results.push_back(ToResult(r));
+          });
+          for (const ResultEntry& result : results) {
+            auto item = ctx.AddItem("results");
+            item.Set("event_id", result.event_id);
+            SetColumn(item, "event_name", *db, "events", result.event_id,
+                      events_col::kName, "(unknown)");
+            item.Set("rank", result.rank)
+                .Set("score", FormatScore(result.score));
           }
-          ctx.SetList("results", std::move(items));
           ctx.Set("photos",
                   PhotoStrip(*db, req.deps, "athlete", std::to_string(*id)));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /country/<code> — the 1998 site's per-country collation.
     const std::string country_prefix = p + "/country/";
     renderer->RegisterPrefix(
         country_prefix,
-        [db, lang, p, country_prefix](
+        [db, chrome, country_prefix, latest_fragment](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kCountryPageTmpl);
           if (req.page.size() <= country_prefix.size()) {
             return InvalidArgumentError("bad country");
           }
           const std::string code(req.page.substr(country_prefix.size()));
-          auto country = db->Get("countries", Value(code));
-          if (!country.ok()) return NotFoundError("no country " + code);
+          TemplateContext ctx(chrome.get());
+          ctx.Set("code", code);
+          const Status found = db->ReadRow("countries", Value(code), [&](const Row& c) {
+            ctx.Set("name", AsString(c[countries_col::kName]))
+                .Set("g", AsInt(c[countries_col::kGolds]))
+                .Set("s", AsInt(c[countries_col::kSilvers]))
+                .Set("b", AsInt(c[countries_col::kBronzes]));
+          });
+          if (!found.ok()) return NotFoundError("no country " + code);
           req.deps.DependsOnData(CountryNode(code), 3.0);
           req.deps.DependsOnData(MedalsCountryNode(code), 2.0);
           req.deps.DependsOnData(AthleteCountryNode(code), 1.0);
 
-          const Row& c = country.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("code", code)
-              .Set("name", AsString(c[countries_col::kName]))
-              .Set("g", AsInt(c[countries_col::kGolds]))
-              .Set("s", AsInt(c[countries_col::kSilvers]))
-              .Set("b", AsInt(c[countries_col::kBronzes]));
-          auto athletes = db->Lookup("athletes", "country", Value(code));
-          std::vector<TemplateContext> items;
-          for (const Row& r : athletes) {
-            items.emplace_back()
+          db->ForEachMatch("athletes", "country", Value(code), [&](const Row& r) {
+            ctx.AddItem("athletes")
                 .Set("id", AsInt(r[athletes_col::kId]))
                 .Set("athlete", AsString(r[athletes_col::kName]));
-          }
-          ctx.SetList("athletes", std::move(items));
+          });
           ctx.Set("photos", PhotoStrip(*db, req.deps, "country", code));
-          auto latest = req.fragments(LatestNewsFragment(lang));
+          auto latest = req.fragments(latest_fragment);
           if (!latest.ok()) return latest.status();
           ctx.Set("latest_news", latest.value());
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /medals — standings page wrapping the fragment.
     renderer->RegisterExact(
         MedalsPage(lang),
-        [lang](const RenderRequest& req) -> Result<std::string> {
+        [chrome, medals_fragment](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kMedalsPageTmpl);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          auto table = req.fragments(MedalsFragment(lang));
+          TemplateContext ctx(chrome.get());
+          auto table = req.fragments(medals_fragment);
           if (!table.ok()) return table.status();
           ctx.Set("medal_table", table.value());
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /schedule/day/<d> — the day's programme.
     const std::string schedule_prefix = p + "/schedule/day/";
     renderer->RegisterPrefix(
         schedule_prefix,
-        [db, lang, p, schedule_prefix](
+        [db, chrome, schedule_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kSchedulePageTmpl);
           const auto day = ParseId(req.page, schedule_prefix);
           if (!day) return InvalidArgumentError("bad day");
           req.deps.DependsOnData(EventDayNode(*day));
-          auto events = db->Lookup("events", "day", Value(*day));
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p).Set("day", *day);
-          std::vector<TemplateContext> items;
-          for (const Row& r : events) {
+          TemplateContext ctx(chrome.get());
+          ctx.Set("day", *day);
+          db->ForEachMatch("events", "day", Value(*day), [&](const Row& r) {
             // Status is read straight off the row, so freshness needs the
             // per-event node — the membership node above only covers which
             // events appear.
             req.deps.DependsOnData(EventNode(AsInt(r[events_col::kId])));
-            items.emplace_back()
+            ctx.AddItem("events")
                 .Set("id", AsInt(r[events_col::kId]))
                 .Set("event_name", AsString(r[events_col::kName]))
                 .Set("venue", AsString(r[events_col::kVenue]))
                 .Set("status", AsString(r[events_col::kStatus]));
-          }
-          ctx.SetList("events", std::move(items));
-          return tmpl.get().Render(ctx).body;
+          });
+          return tmpl.Render(ctx);
         });
 
     // /venue/<slug> — §3.1 category 4: "information on where the sports
@@ -1024,7 +1069,7 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
     const std::string venue_prefix = p + "/venue/";
     renderer->RegisterPrefix(
         venue_prefix,
-        [db, lang, p, venue_prefix](
+        [db, chrome, venue_prefix](
             const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kVenuePageTmpl);
           if (req.page.size() <= venue_prefix.size()) {
@@ -1032,64 +1077,52 @@ void OlympicSite::RegisterGenerators(const OlympicConfig& config, Database* db,
           }
           const std::string name =
               VenueUnslug(req.page.substr(venue_prefix.size()));
-          auto venue = db->Get("venues", Value(name));
-          if (!venue.ok()) return NotFoundError("no venue " + name);
+          TemplateContext ctx(chrome.get());
+          ctx.Set("venue", name);
+          const Status found = db->ReadRow("venues", Value(name), [&](const Row& v) {
+            ctx.Set("locality", AsString(v[1])).Set("capacity", AsInt(v[2]));
+          });
+          if (!found.ok()) return NotFoundError("no venue " + name);
           req.deps.DependsOnData(VenueNode(name));
           req.deps.DependsOnData(EventVenueNode(name));
 
-          const Row& v = venue.value();
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p)
-              .Set("venue", name)
-              .Set("locality", AsString(v[1]))
-              .Set("capacity", AsInt(v[2]));
-          auto events = db->Lookup("events", "venue", Value(name));
-          std::vector<TemplateContext> items;
-          for (const Row& r : events) {
+          db->ForEachMatch("events", "venue", Value(name), [&](const Row& r) {
             // Same as the schedule page: status comes off the row itself.
             req.deps.DependsOnData(EventNode(AsInt(r[events_col::kId])));
-            items.emplace_back()
+            ctx.AddItem("events")
                 .Set("id", AsInt(r[events_col::kId]))
                 .Set("event_name", AsString(r[events_col::kName]))
                 .Set("day", AsInt(r[events_col::kDay]))
                 .Set("status", AsString(r[events_col::kStatus]));
-          }
-          ctx.SetList("events", std::move(items));
+          });
           ctx.Set("photos", PhotoStrip(*db, req.deps, "venue", name));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     // /nagano — §3.1 category 8: "information about Nagano, Japan".
     renderer->RegisterExact(
         NaganoPage(lang),
-        [db, lang, p](const RenderRequest& req) -> Result<std::string> {
+        [db, chrome](const RenderRequest& req) -> Result<std::string> {
           static const TemplateHolder tmpl(kNaganoPageTmpl);
           req.deps.DependsOnData(kVenuesAllNode);
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
-          ctx.Set("p", p);
-          std::vector<TemplateContext> items;
-          for (const Row& r : db->ScanAll("venues")) {
-            items.emplace_back()
+          TemplateContext ctx(chrome.get());
+          db->ForEachRow("venues", [&ctx](const Row& r) {
+            ctx.AddItem("venues")
                 .Set("venue", AsString(r[0]))
                 .Set("slug", VenueSlug(AsString(r[0])))
                 .Set("locality", AsString(r[1]));
-          }
-          ctx.SetList("venues", std::move(items));
-          return tmpl.get().Render(ctx).body;
+          });
+          return tmpl.Render(ctx);
         });
 
     // /fun — §3.1 category 9: "sports-related activities for children".
     renderer->RegisterExact(
         FunPage(lang),
-        [db, lang](const RenderRequest& req) -> Result<std::string> {
+        [db, chrome](const RenderRequest&) -> Result<std::string> {
           static const TemplateHolder tmpl(kFunPageTmpl);
-          (void)req;
-          TemplateContext ctx;
-          SetChrome(ctx, lang);
+          TemplateContext ctx(chrome.get());
           ctx.Set("sports", int64_t(db->RowCount("sports")));
-          return tmpl.get().Render(ctx).body;
+          return tmpl.Render(ctx);
         });
 
     register_news(lang);

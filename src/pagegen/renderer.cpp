@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 
 #include "common/clock.h"
 
@@ -11,15 +12,16 @@ namespace {
 // Sentinels the composition-mode fragment resolver returns in place of the
 // fragment body. Generators splice the resolver's result verbatim (raw
 // {{{...}}} substitution), so the flat output can be split back into static
-// chunks and fragment refs afterwards. The bytes contain control characters
-// that never occur in rendered content.
+// chunks and fragment refs afterwards. A marker names its fragment by index
+// in the render's fragment list, so it fits a short string's inline buffer.
+// The bytes contain control characters that never occur in rendered content.
 constexpr std::string_view kFragMarkOpen = "\x01\x02";
 constexpr std::string_view kFragMarkClose = "\x02\x01";
 
 // How long a coalesced render waits for the leading flight before giving up
 // and rendering on its own. Only a cross-thread include cycle (two leaders
 // mutually waiting on each other's fragments) can hit this; the fallback
-// render then reports the cycle through the ordinary stack check.
+// render then reports the cycle through the ordinary RenderState check.
 constexpr TimeNs kFlightFallback = 2 * kSecond;
 
 RendererOptions WithMetrics(const metrics::Options& metrics_options) {
@@ -29,6 +31,13 @@ RendererOptions WithMetrics(const metrics::Options& metrics_options) {
 }
 
 }  // namespace
+
+void DependencyRecorder::DependsOnData(std::string_view node_name,
+                                       double weight) {
+  deps_.push_back(Dep{static_cast<uint32_t>(names_.size()),
+                      static_cast<uint32_t>(node_name.size()), weight});
+  names_.append(node_name);
+}
 
 PageRenderer::PageRenderer(odg::ObjectDependenceGraph* graph,
                            cache::ObjectCache* cache,
@@ -60,7 +69,7 @@ const PageGenerator* PageRenderer::FindGenerator(std::string_view page) const {
   // std::map node pointers are stable and generators are never erased, so
   // the returned pointer outlives the lock.
   std::shared_lock lock(registry_mutex_);
-  if (auto it = exact_.find(std::string(page)); it != exact_.end()) {
+  if (auto it = exact_.find(page); it != exact_.end()) {
     return &it->second;
   }
   // Longest matching prefix: scan candidates not past `page` in order.
@@ -79,194 +88,286 @@ bool PageRenderer::CanGenerate(std::string_view page) const {
   return FindGenerator(page) != nullptr;
 }
 
-Result<std::string> PageRenderer::RenderAndCache(std::string_view page) {
-  RenderState state;
-  return RenderInternal(page, /*store=*/true, state);
+Result<std::shared_ptr<const cache::CachedObject>> PageRenderer::RenderAndCache(
+    std::string_view page) {
+  return RenderCached(page, /*outer=*/nullptr);
 }
 
 Result<std::string> PageRenderer::RenderOnly(std::string_view page) {
-  RenderState state;
-  return RenderInternal(page, /*store=*/false, state);
+  return RenderFlat(page, /*outer=*/nullptr);
 }
 
-Result<std::string> PageRenderer::RenderInternal(std::string_view page,
-                                                 bool store,
-                                                 RenderState& state) {
-  const std::string page_name(page);
-  if (std::find(state.stack.begin(), state.stack.end(), page_name) !=
-      state.stack.end()) {
-    return FailedPreconditionError("fragment include cycle at " + page_name);
+Result<const PageGenerator*> PageRenderer::Resolve(
+    std::string_view page, const RenderState* outer) const {
+  for (const RenderState* s = outer; s != nullptr; s = s->outer) {
+    if (s->page == page) {
+      return FailedPreconditionError("fragment include cycle at " +
+                                     std::string(page));
+    }
   }
   const PageGenerator* generator = FindGenerator(page);
   if (generator == nullptr) {
-    return NotFoundError("no generator for " + page_name);
+    return NotFoundError("no generator for " + std::string(page));
   }
-
-  // RenderOnly keeps fresh-render semantics, so only caching renders
-  // coalesce.
-  if (!store) return RenderUncoalesced(page_name, *generator, store, state);
-
-  const auto flight = flights_.Join(page_name, /*deadline=*/0);
-  if (flight.leader) {
-    Result<std::string> body =
-        RenderUncoalesced(page_name, *generator, store, state);
-    flights_.Publish(page_name, flight, body);
-    return body;
-  }
-  const Clock& clock = RealClock::Instance();
-  if (auto body = flights_.Await(flight, clock.Now() + kFlightFallback,
-                                 clock)) {
-    cells_.renders_coalesced->Increment();
-    return *std::move(body);
-  }
-  // Leader stuck (cross-thread include cycle): render independently; the
-  // stack check in the recursive render reports genuine cycles.
-  return RenderUncoalesced(page_name, *generator, store, state);
+  return generator;
 }
 
-Result<std::string> PageRenderer::RenderUncoalesced(
-    const std::string& page_name, const PageGenerator& generator, bool store,
-    RenderState& state) {
-  state.stack.push_back(page_name);
+Result<std::string> PageRenderer::RenderFlat(std::string_view page,
+                                             const RenderState* outer) {
+  auto generator = Resolve(page, outer);
+  if (!generator.ok()) return generator.status();
+  const RenderState state{page, outer};
+  Generated generated;
+  if (Status s = Generate(*generator.value(), state, /*flat=*/true, generated);
+      !s.ok()) {
+    return s;
+  }
+  return std::move(generated.raw);
+}
 
+Result<PageRenderer::Stored> PageRenderer::RenderCached(
+    std::string_view page, const RenderState* outer) {
+  auto generator = Resolve(page, outer);
+  if (!generator.ok()) return generator.status();
+  const RenderState state{page, outer};
+
+  // The generator run, ODG sync and store — what one flight does.
+  auto render = [&]() -> Result<Stored> {
+    Generated generated;
+    if (Status s = Generate(*generator.value(), state, /*flat=*/false,
+                            generated);
+        !s.ok()) {
+      return s;
+    }
+    if (generated.plan.empty()) {
+      return cache_->Put(page, std::move(generated.raw));
+    }
+    std::vector<cache::PlanChunk>& plan = generated.plan;
+    const bool has_fragment_chunk =
+        std::any_of(plan.begin(), plan.end(),
+                    [](const cache::PlanChunk& c) { return c.is_fragment(); });
+    if (!has_fragment_chunk) {
+      // Every fragment was inlined: one static chunk, stored flat.
+      return cache_->Put(page, std::move(plan.front().text));
+    }
+    cells_.plans_stored->Increment();
+    return cache_->PutPlan(page, std::move(plan));
+  };
+
+  const std::string page_name(page);
+  const auto flight = flights_.Join(page_name, /*deadline=*/0);
+  if (flight.leader) {
+    Result<Stored> stored = render();
+    flights_.Publish(page_name, flight, stored);
+    return stored;
+  }
+  const Clock& clock = RealClock::Instance();
+  if (auto stored = flights_.Await(flight, clock.Now() + kFlightFallback,
+                                   clock)) {
+    cells_.renders_coalesced->Increment();
+    return *std::move(stored);
+  }
+  // Leader stuck (cross-thread include cycle): render independently; the
+  // state chain in the recursive render reports genuine cycles.
+  return render();
+}
+
+Status PageRenderer::Generate(const PageGenerator& generator,
+                              const RenderState& state, bool flat,
+                              Generated& out) {
   DependencyRecorder recorder;
-  std::vector<std::string> fragments_used;
   uint64_t fragment_hits = 0;
   const bool compose = options_.compose_pages;
 
   // Fragments come from the cache when present; otherwise they are rendered
-  // (and cached) recursively, sharing this render's cycle-detection stack.
-  // In composition mode the resolver only *ensures* the fragment is cached
-  // and hands the generator an opaque marker; the flat output is split on
-  // the markers into this page's composition plan afterwards.
+  // (and cached) recursively, sharing this render's state chain. In
+  // composition mode the resolver only *ensures* the fragment is cached and
+  // hands the generator a marker naming the fragment by index; the output
+  // is split on the markers into this page's composition plan afterwards.
+  // The lambda captures one pointer, so the FragmentResolver holding it
+  // does not allocate.
+  struct ResolverState {
+    PageRenderer* renderer;
+    const RenderState* state;
+    Generated* out;
+    uint64_t* fragment_hits;
+    bool compose;
+  } resolver_state{this, &state, &out, &fragment_hits, compose};
   FragmentResolver resolver =
-      [&](std::string_view fragment) -> Result<std::string> {
-    fragments_used.emplace_back(fragment);
-    if (!compose) {
-      if (auto cached = cache_->Peek(fragment)) {
-        ++fragment_hits;
-        return cached->body;
+      [rs = &resolver_state](std::string_view fragment) -> Result<std::string> {
+    PageRenderer& self = *rs->renderer;
+    rs->out->fragments.emplace_back(fragment);
+    if (!rs->compose) {
+      if (auto cached = self.cache_->Peek(fragment)) {
+        ++*rs->fragment_hits;
+        return cached->Materialize();
       }
-      return RenderInternal(fragment, /*store=*/true, state);
+      auto stored = self.RenderCached(fragment, rs->state);
+      if (!stored.ok()) return stored.status();
+      return stored.value()->Materialize();
     }
-    if (cache_->Contains(fragment)) {
-      ++fragment_hits;
-    } else {
-      Result<std::string> rendered =
-          RenderInternal(fragment, /*store=*/true, state);
-      if (!rendered.ok()) return rendered;
+    if (self.cache_->Contains(fragment)) {
+      ++*rs->fragment_hits;
+    } else if (auto stored = self.RenderCached(fragment, rs->state);
+               !stored.ok()) {
+      return stored.status();
     }
+    char index[24];
+    const auto [end, ec] = std::to_chars(
+        index, index + sizeof(index), rs->out->fragments.size() - 1);
     std::string marker(kFragMarkOpen);
-    marker += fragment;
+    marker.append(index, end);
     marker += kFragMarkClose;
     return marker;
   };
 
-  RenderRequest request{page_name, recorder, resolver};
+  RenderRequest request{state.page, recorder, resolver};
   Result<std::string> body = generator(request);
-
-  std::vector<cache::PlanChunk> plan;
-  if (body.ok() && compose && !fragments_used.empty()) {
-    // Still on the stack: the rare inline-fallback re-render inside
-    // ExtractPlan shares this render's cycle detection.
-    body = ExtractPlan(body.value(), state, plan);
-  }
-
-  state.stack.pop_back();
-
-  if (!body.ok()) {
-    cells_.generator_errors->Increment();
-    return body;
-  }
-
-  // Sync the ODG: this page's in-edges become exactly what this render
-  // observed. Kind widening in EnsureNode turns a page that others embed
-  // into kBoth automatically. SetInEdges short-circuits on the read lock
-  // when the dependencies are unchanged — the steady state of re-renders —
-  // so parallel workers do not serialize on the graph's write lock.
-  const odg::NodeId page_node =
-      graph_->EnsureNode(page_name, odg::NodeKind::kObject);
-  std::vector<odg::Edge> sources;
-  sources.reserve(recorder.data_deps().size() + fragments_used.size());
-  for (const auto& [dep, weight] : recorder.data_deps()) {
-    sources.push_back(odg::Edge{
-        graph_->EnsureNode(dep, odg::NodeKind::kUnderlyingData), weight});
-  }
-  for (const std::string& frag : fragments_used) {
-    sources.push_back(
-        odg::Edge{graph_->EnsureNode(frag, odg::NodeKind::kBoth), 1.0});
-  }
-  graph_->SetInEdges(page_node, std::move(sources));
-
-  if (store) {
-    const bool has_fragment_chunk =
-        std::any_of(plan.begin(), plan.end(),
-                    [](const cache::PlanChunk& c) { return c.is_fragment(); });
-    if (has_fragment_chunk) {
-      cache_->PutPlan(page_name, std::move(plan));
-      cells_.plans_stored->Increment();
-    } else {
-      cache_->Put(page_name, body.value());
+  Status status = body.status();
+  if (body.ok()) {
+    out.raw = std::move(body).value();
+    if (compose && !out.fragments.empty()) {
+      status = flat ? SpliceFragments(out, state) : BuildPlan(out, state);
     }
   }
-
+  if (!status.ok()) {
+    cells_.generator_errors->Increment();
+    return status;
+  }
+  SyncDependencies(state.page, recorder, out.fragments);
   cells_.pages_rendered->Increment();
   if (fragment_hits != 0) cells_.fragment_cache_hits->Increment(fragment_hits);
-  return body;
+  return Status::Ok();
 }
 
-Result<std::string> PageRenderer::ExtractPlan(
-    const std::string& raw, RenderState& state,
-    std::vector<cache::PlanChunk>& plan) {
-  std::string pending;  // static bytes accumulated since the last fragment
-  size_t pos = 0;
-  while (pos < raw.size()) {
-    const size_t open = raw.find(kFragMarkOpen, pos);
-    if (open == std::string::npos) break;
-    const size_t name_at = open + kFragMarkOpen.size();
-    const size_t close = raw.find(kFragMarkClose, name_at);
-    if (close == std::string::npos) break;
-    pending.append(raw, pos, open - pos);
-    const std::string fragment = raw.substr(name_at, close - name_at);
-    pos = close + kFragMarkClose.size();
+void PageRenderer::SyncDependencies(std::string_view page,
+                                    const DependencyRecorder& recorder,
+                                    const std::vector<std::string>& fragments) {
+  // FNV-1a over the list as recorded (names length-prefixed, weights by
+  // bit pattern). A re-render that records the same list — the steady
+  // state — stops at one signature probe instead of resolving every name.
+  uint64_t signature = 0xcbf29ce484222325ULL;
+  auto mix = [&signature](const void* data, size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      signature = (signature ^ bytes[i]) * 0x100000001b3ULL;
+    }
+  };
+  auto mix_name = [&mix](std::string_view name) {
+    const uint64_t size = name.size();
+    mix(&size, sizeof(size));
+    mix(name.data(), name.size());
+  };
+  for (size_t i = 0; i < recorder.size(); ++i) {
+    mix_name(recorder.name(i));
+    const double weight = recorder.weight(i);
+    mix(&weight, sizeof(weight));
+  }
+  const uint64_t data_deps = recorder.size();
+  mix(&data_deps, sizeof(data_deps));
+  for (const std::string& fragment : fragments) mix_name(fragment);
+  if (signature == 0) signature = 1;  // 0 means "unsigned" to the graph
+  if (graph_->InEdgesSigned(page, signature)) return;
 
-    auto source = cache_->Peek(fragment);
+  // This page's in-edges become exactly what this render observed. Kind
+  // widening in EnsureNode turns a page that others embed into kBoth
+  // automatically.
+  const odg::NodeId page_node = graph_->EnsureNode(page, odg::NodeKind::kObject);
+  std::vector<odg::Edge> sources;
+  sources.reserve(recorder.size() + fragments.size());
+  for (size_t i = 0; i < recorder.size(); ++i) {
+    sources.push_back(odg::Edge{
+        graph_->EnsureNode(recorder.name(i), odg::NodeKind::kUnderlyingData),
+        recorder.weight(i)});
+  }
+  for (const std::string& fragment : fragments) {
+    sources.push_back(
+        odg::Edge{graph_->EnsureNode(fragment, odg::NodeKind::kBoth), 1.0});
+  }
+  graph_->SetInEdges(page_node, std::move(sources), signature);
+}
+
+Status PageRenderer::SplitMarkers(
+    const Generated& generated, const RenderState& state,
+    FunctionRef<void(std::string_view)> text,
+    FunctionRef<void(const std::string&, Stored)> fragment) {
+  const std::string_view raw = generated.raw;
+  size_t pos = 0;   // first byte not yet passed on
+  size_t scan = 0;  // where to look for the next marker
+  for (;;) {
+    const size_t open = raw.find(kFragMarkOpen, scan);
+    if (open == std::string_view::npos) break;
+    // Marker: open, the fragment's index in decimal, close. Anything else
+    // starting with the open bytes is page content and stays text.
+    const char* digits = raw.data() + open + kFragMarkOpen.size();
+    const char* end = raw.data() + raw.size();
+    size_t index = 0;
+    const auto [after, ec] = std::from_chars(digits, end, index);
+    if (ec != std::errc{} || index >= generated.fragments.size() ||
+        !std::string_view(after, end - after).starts_with(kFragMarkClose)) {
+      scan = open + 1;
+      continue;
+    }
+    text(raw.substr(pos, open - pos));
+    pos = static_cast<size_t>(after - raw.data()) + kFragMarkClose.size();
+    scan = pos;
+
+    const std::string& name = generated.fragments[index];
+    auto source = cache_->Peek(name);
     if (source != nullptr && !source->is_plan()) {
-      if (!pending.empty()) {
-        cache::PlanChunk chunk;
-        chunk.text = std::move(pending);
-        pending.clear();
-        plan.push_back(std::move(chunk));
-      }
-      cache::PlanChunk chunk;
-      chunk.fragment = fragment;
-      chunk.fragment_version = source->version;
-      chunk.source = std::move(source);
-      plan.push_back(std::move(chunk));
+      fragment(name, std::move(source));
       continue;
     }
     // The fragment vanished between the resolver and here (capacity
     // eviction) or is itself plan-shaped — inline its bytes as static text
     // so chunk refs stay flat, single-span views.
-    Result<std::string> inlined =
-        source != nullptr ? Result<std::string>(source->Materialize())
-                          : RenderInternal(fragment, /*store=*/false, state);
-    if (!inlined.ok()) return inlined;
-    pending += inlined.value();
+    if (source != nullptr) {
+      text(source->Materialize());
+      continue;
+    }
+    Result<std::string> inlined = RenderFlat(name, &state);
+    if (!inlined.ok()) return inlined.status();
+    text(inlined.value());
   }
-  pending.append(raw, pos, raw.size() - pos);
-  if (!pending.empty()) {
-    cache::PlanChunk chunk;
-    chunk.text = std::move(pending);
-    plan.push_back(std::move(chunk));
-  }
+  text(raw.substr(pos));
+  return Status::Ok();
+}
 
-  std::string materialized;
-  size_t total = 0;
-  for (const cache::PlanChunk& chunk : plan) total += chunk.bytes().size();
-  materialized.reserve(total);
-  for (const cache::PlanChunk& chunk : plan) materialized += chunk.bytes();
-  return materialized;
+Status PageRenderer::SpliceFragments(Generated& generated,
+                                     const RenderState& state) {
+  std::string body;
+  body.reserve(2 * generated.raw.size());
+  Status s = SplitMarkers(
+      generated, state, [&body](std::string_view text) { body += text; },
+      [&body](const std::string&, Stored source) { body += source->body; });
+  if (s.ok()) generated.raw = std::move(body);
+  return s;
+}
+
+Status PageRenderer::BuildPlan(Generated& generated, const RenderState& state) {
+  std::vector<cache::PlanChunk>& plan = generated.plan;
+  plan.reserve(2 * generated.fragments.size() + 1);
+  std::string pending;  // static bytes since the last fragment chunk
+  pending.reserve(generated.raw.size());
+  auto flush = [&] {
+    if (pending.empty()) return;
+    cache::PlanChunk chunk;
+    chunk.text = pending;  // exact-size copy; pending keeps its buffer
+    pending.clear();
+    plan.push_back(std::move(chunk));
+  };
+  Status s = SplitMarkers(
+      generated, state, [&pending](std::string_view text) { pending += text; },
+      [&](const std::string& name, Stored source) {
+        flush();
+        cache::PlanChunk chunk;
+        chunk.fragment = name;
+        chunk.fragment_version = source->version;
+        chunk.source = std::move(source);
+        plan.push_back(std::move(chunk));
+      });
+  flush();
+  return s;
 }
 
 RendererStats PageRenderer::stats() const { return cells_.Snapshot(); }

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cache/object_cache.h"
+#include "common/function_ref.h"
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/result.h"
@@ -39,17 +40,32 @@ namespace nagano::pagegen {
 // while the latest-news box is garnish (low weight). Weights feed the
 // quantitative-obsolescence threshold policy; with the default weight the
 // ODG stays unweighted.
+//
+// Names are copied into one buffer, so recording costs no allocation per
+// dependency once the buffer has grown.
 class DependencyRecorder {
  public:
-  void DependsOnData(std::string node_name, double weight = 1.0) {
-    data_deps_.emplace_back(std::move(node_name), weight);
-  }
-  const std::vector<std::pair<std::string, double>>& data_deps() const {
-    return data_deps_;
+  DependencyRecorder() {
+    names_.reserve(256);
+    deps_.reserve(16);
   }
 
+  void DependsOnData(std::string_view node_name, double weight = 1.0);
+
+  size_t size() const { return deps_.size(); }
+  std::string_view name(size_t i) const {
+    return std::string_view(names_).substr(deps_[i].at, deps_[i].size);
+  }
+  double weight(size_t i) const { return deps_[i].weight; }
+
  private:
-  std::vector<std::pair<std::string, double>> data_deps_;
+  struct Dep {
+    uint32_t at = 0;
+    uint32_t size = 0;
+    double weight = 1.0;
+  };
+  std::string names_;
+  std::vector<Dep> deps_;
 };
 
 struct RenderRequest {
@@ -109,34 +125,71 @@ class PageRenderer {
 
   bool CanGenerate(std::string_view page) const;
 
-  // Renders `page`, updates its ODG dependence edges, stores the body in
-  // the cache, and returns it. Fragments referenced via {{>...}} are pulled
-  // from the cache or rendered (and cached) recursively; include cycles are
-  // an error.
-  Result<std::string> RenderAndCache(std::string_view page);
+  // Renders `page`, updates its ODG dependence edges, stores it in the
+  // cache, and returns the stored snapshot (flat, or a composition plan
+  // when the page splices fragments) — what the serving path hands to the
+  // HTTP writer by reference. Fragments are pulled from the cache or
+  // rendered (and cached) recursively; include cycles are an error.
+  Result<std::shared_ptr<const cache::CachedObject>> RenderAndCache(
+      std::string_view page);
 
   // Render without storing — used for never-cache pages and for measuring
-  // raw generation cost.
+  // raw generation cost. Returns the flat page bytes.
   Result<std::string> RenderOnly(std::string_view page);
 
   RendererStats stats() const;
 
  private:
+  using Stored = std::shared_ptr<const cache::CachedObject>;
+  // One frame of the chain of renders in progress on this stack — a page
+  // and the pages whose fragments led to it — for cycle detection.
   struct RenderState {
-    std::vector<std::string> stack;  // active renders, for cycle detection
+    std::string_view page;
+    const RenderState* outer;
+  };
+  // A generator run's output. Flat renders (and pages that splice no
+  // fragment) end with the page bytes in `raw` and an empty `plan`; a
+  // caching render that spliced fragments in composition mode ends with the
+  // page in `plan`. `fragments` lists the fragments the page spliced.
+  struct Generated {
+    std::string raw;
+    std::vector<std::string> fragments;
+    std::vector<cache::PlanChunk> plan;
   };
 
-  Result<std::string> RenderInternal(std::string_view page, bool store,
-                                     RenderState& state);
-  // The actual generator run (no single-flight): runs the generator, splits
-  // composition plans out of the flat output, syncs the ODG, and stores.
-  Result<std::string> RenderUncoalesced(const std::string& page_name,
-                                        const PageGenerator& generator,
-                                        bool store, RenderState& state);
-  // Splits `raw` (generator output with fragment markers) into `plan` and
-  // returns the materialized marker-free bytes.
-  Result<std::string> ExtractPlan(const std::string& raw, RenderState& state,
-                                  std::vector<cache::PlanChunk>& plan);
+  // Caching render of `page` (fragments included), single-flight per name.
+  Result<Stored> RenderCached(std::string_view page, const RenderState* outer);
+  // RenderOnly of `page`, reached from the render chain `outer` (nullptr
+  // at the public entry point).
+  Result<std::string> RenderFlat(std::string_view page,
+                                 const RenderState* outer);
+  // Cycle check and generator lookup shared by both render kinds.
+  Result<const PageGenerator*> Resolve(std::string_view page,
+                                       const RenderState* outer) const;
+  // Runs `generator` for state.page, resolves the fragment markers in its
+  // output (into `raw` when `flat`, else into `plan`), and syncs the page's
+  // ODG in-edges with what the run recorded.
+  Status Generate(const PageGenerator& generator, const RenderState& state,
+                  bool flat, Generated& out);
+  // Records `recorder` + `fragments` as `page`'s in-edges, unless the page
+  // already carries exactly this dependency list.
+  void SyncDependencies(std::string_view page,
+                        const DependencyRecorder& recorder,
+                        const std::vector<std::string>& fragments);
+  // Walks generated.raw in order: `text` gets each static byte run and
+  // `fragment` each marker whose fragment is live and flat in the cache. A
+  // fragment that is gone from the cache or is plan-shaped is inlined, its
+  // bytes passed to `text`.
+  Status SplitMarkers(
+      const Generated& generated, const RenderState& state,
+      FunctionRef<void(std::string_view)> text,
+      FunctionRef<void(const std::string&, Stored)> fragment);
+  // Replaces generated.raw by the page with every fragment's bytes spliced
+  // in where its marker stands.
+  Status SpliceFragments(Generated& generated, const RenderState& state);
+  // Splits generated.raw into generated.plan: static byte runs and pinned
+  // fragment snapshots.
+  Status BuildPlan(Generated& generated, const RenderState& state);
   const PageGenerator* FindGenerator(std::string_view page) const;
 
   odg::ObjectDependenceGraph* graph_;
@@ -145,14 +198,14 @@ class PageRenderer {
 
   // In-progress caching renders by object name (fragments included):
   // concurrent requests for one object adopt its single generator run.
-  SingleFlight<Result<std::string>> flights_;
+  SingleFlight<Result<Stored>> flights_;
 
   // Registration happens at site construction; every render takes the
   // shared side, so the trigger monitor's parallel re-render workers never
   // serialize on generator lookup.
   mutable std::shared_mutex registry_mutex_;
-  std::map<std::string, PageGenerator> exact_;
-  std::map<std::string, PageGenerator> prefixes_;
+  std::map<std::string, PageGenerator, std::less<>> exact_;
+  std::map<std::string, PageGenerator, std::less<>> prefixes_;
 
   // Registry-owned sharded counters — bumped on every render, and shared
   // locking would re-serialize the parallel re-render workers. stats() is a

@@ -1,73 +1,153 @@
 #include "pagegen/template.h"
 
-#include <cassert>
-#include <cstdio>
+#include <charconv>
 
 namespace nagano::pagegen {
 
-TemplateContext::Slot& TemplateContext::SlotFor(std::string key) {
-  for (auto& s : slots_) {
-    if (s.key == key) return s;
-  }
-  slots_.push_back(Slot{std::move(key), {}, {}, false});
-  return slots_.back();
+TemplateContext::TemplateContext(const TemplateContext* parent)
+    : parent_(parent) {
+  // Room for a typical page's variables and list items in one allocation
+  // each.
+  arena_.reserve(1024);
+  slots_.reserve(64);
+  scopes_.reserve(32);
+  scopes_.emplace_back();
 }
 
-TemplateContext& TemplateContext::Set(std::string key, std::string value) {
-  Slot& s = SlotFor(std::move(key));
-  s.str = std::move(value);
-  s.list.clear();
-  s.is_list = false;
+TemplateContext& TemplateContext::Set(std::string_view key,
+                                      std::string_view value) {
+  SetIn(0, key, value);
   return *this;
 }
 
-TemplateContext& TemplateContext::Set(std::string key, int64_t value) {
-  return Set(std::move(key), std::to_string(value));
+TemplateContext& TemplateContext::Set(std::string_view key, int64_t value) {
+  SetIn(0, key, value);
+  return *this;
 }
 
-TemplateContext& TemplateContext::Set(std::string key, double value) {
+TemplateContext& TemplateContext::Set(std::string_view key, double value) {
+  SetIn(0, key, value);
+  return *this;
+}
+
+TemplateContext::Item TemplateContext::AddItem(std::string_view list) {
+  return Item(this, AddItemIn(0, list));
+}
+
+TemplateContext::Item& TemplateContext::Item::Set(std::string_view key,
+                                                  std::string_view value) {
+  context_->SetIn(scope_, key, value);
+  return *this;
+}
+
+TemplateContext::Item& TemplateContext::Item::Set(std::string_view key,
+                                                  int64_t value) {
+  context_->SetIn(scope_, key, value);
+  return *this;
+}
+
+TemplateContext::Item& TemplateContext::Item::Set(std::string_view key,
+                                                  double value) {
+  context_->SetIn(scope_, key, value);
+  return *this;
+}
+
+TemplateContext::Item TemplateContext::Item::AddItem(std::string_view list) {
+  return Item(context_, context_->AddItemIn(scope_, list));
+}
+
+uint32_t TemplateContext::KeyHash(std::string_view key) {
+  uint32_t hash = 2166136261u;  // FNV-1a
+  for (const char c : key) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 16777619u;
+  }
+  return hash;
+}
+
+uint32_t TemplateContext::NewSlot(uint32_t scope, std::string_view key) {
+  Slot slot;
+  slot.key_hash = KeyHash(key);
+  slot.key_at = static_cast<uint32_t>(arena_.size());
+  slot.key_size = static_cast<uint32_t>(key.size());
+  arena_.append(key);
+  slot.older = scopes_[scope].newest;
+  const auto index = static_cast<uint32_t>(slots_.size());
+  slots_.push_back(slot);
+  scopes_[scope].newest = index;
+  return index;
+}
+
+void TemplateContext::SetIn(uint32_t scope, std::string_view key,
+                            std::string_view value) {
+  const uint32_t index = NewSlot(scope, key);
+  slots_[index].value_at = static_cast<uint32_t>(arena_.size());
+  slots_[index].value_size = static_cast<uint32_t>(value.size());
+  arena_.append(value);
+}
+
+void TemplateContext::SetIn(uint32_t scope, std::string_view key,
+                            int64_t value) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  SetIn(scope, key, std::string_view(buf, end - buf));
+}
+
+void TemplateContext::SetIn(uint32_t scope, std::string_view key,
+                            double value) {
+  // Same bytes as printf's %.6g.
   char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  return Set(std::move(key), std::string(buf));
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                       std::chars_format::general, 6);
+  SetIn(scope, key, std::string_view(buf, end - buf));
 }
 
-TemplateContext& TemplateContext::SetList(std::string key,
-                                          std::vector<TemplateContext> items) {
-  Slot& s = SlotFor(std::move(key));
-  s.list = std::move(items);
-  s.str.clear();
-  s.is_list = true;
-  return *this;
-}
-
-const std::string* TemplateContext::GetString(std::string_view key) const {
-  for (const auto& s : slots_) {
-    if (s.key == key && !s.is_list) return &s.str;
+uint32_t TemplateContext::AddItemIn(uint32_t scope, std::string_view list) {
+  const Slot* found = Find(scope, list, KeyHash(list));
+  const uint32_t index =
+      found != nullptr && found->is_list
+          ? static_cast<uint32_t>(found - slots_.data())
+          : NewSlot(scope, list);
+  const auto item = static_cast<uint32_t>(scopes_.size());
+  scopes_.emplace_back();
+  Slot& slot = slots_[index];
+  if (slot.is_list) {
+    scopes_[slot.last_item].next_item = item;
+  } else {
+    slot.is_list = true;
+    slot.first_item = item;
   }
-  return nullptr;
+  slot.last_item = item;
+  return item;
 }
 
-const std::vector<TemplateContext>* TemplateContext::GetList(
-    std::string_view key) const {
-  for (const auto& s : slots_) {
-    if (s.key == key && s.is_list) return &s.list;
-  }
-  return nullptr;
-}
-
-std::string HtmlEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += c;
+const TemplateContext::Slot* TemplateContext::Find(uint32_t scope,
+                                                   std::string_view key,
+                                                   uint32_t hash) const {
+  for (uint32_t i = scopes_[scope].newest; i != kNone; i = slots_[i].older) {
+    const Slot& slot = slots_[i];
+    if (slot.key_hash == hash && Bytes(slot.key_at, slot.key_size) == key) {
+      return &slot;
     }
   }
-  return out;
+  return nullptr;
+}
+
+void HtmlEscapeTo(std::string_view s, std::string& out) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < s.size(); ++i) {
+    std::string_view entity;
+    switch (s[i]) {
+      case '&': entity = "&amp;"; break;
+      case '<': entity = "&lt;"; break;
+      case '>': entity = "&gt;"; break;
+      case '"': entity = "&quot;"; break;
+      default: continue;
+    }
+    out.append(s, run, i - run);
+    out.append(entity);
+    run = i + 1;
+  }
+  out.append(s, run, s.size() - run);
 }
 
 namespace {
@@ -203,87 +283,105 @@ Result<CompiledTemplate> CompiledTemplate::Compile(std::string_view source) {
   if (!nodes.ok()) return nodes.status();
   CompiledTemplate t;
   t.roots_ = std::move(nodes).value();
+  std::vector<std::vector<Node>*> stack{&t.roots_};
+  while (!stack.empty()) {
+    std::vector<Node>* level = stack.back();
+    stack.pop_back();
+    for (Node& node : *level) {
+      if (node.type != NodeType::kText) {
+        node.key_hash = TemplateContext::KeyHash(node.text);
+      }
+      if (!node.children.empty()) stack.push_back(&node.children);
+    }
+  }
   return t;
 }
 
-namespace {
-
-const std::string* LookupString(
-    const std::vector<const TemplateContext*>& scope, std::string_view key) {
-  for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
-    if (const std::string* s = (*it)->GetString(key)) return s;
+const TemplateContext::Slot* CompiledTemplate::Resolve(
+    const ScopeChain& chain, const Node& node, bool want_list,
+    const TemplateContext** owner) {
+  const ScopeChain* link = &chain;
+  for (; link->outer != nullptr; link = link->outer) {
+    const TemplateContext::Slot* slot =
+        link->context->Find(link->scope, node.text, node.key_hash);
+    if (slot != nullptr && slot->is_list == want_list) {
+      *owner = link->context;
+      return slot;
+    }
+  }
+  // The outermost link is a context's top scope; after it come the
+  // context's parents.
+  const TemplateContext* context = link->context;
+  uint32_t scope = link->scope;
+  for (; context != nullptr; context = context->parent_, scope = 0) {
+    const TemplateContext::Slot* slot =
+        context->Find(scope, node.text, node.key_hash);
+    if (slot != nullptr && slot->is_list == want_list) {
+      *owner = context;
+      return slot;
+    }
   }
   return nullptr;
 }
 
-const std::vector<TemplateContext>* LookupList(
-    const std::vector<const TemplateContext*>& scope, std::string_view key) {
-  for (auto it = scope.rbegin(); it != scope.rend(); ++it) {
-    if (const auto* l = (*it)->GetList(key)) return l;
-  }
-  return nullptr;
-}
-
-}  // namespace
-
-void CompiledTemplate::RenderNodes(
-    const std::vector<Node>& nodes,
-    const std::vector<const TemplateContext*>& scope,
-    const FragmentResolver& fragments, RenderOutput& out) const {
+void CompiledTemplate::RenderNodes(const std::vector<Node>& nodes,
+                                   const ScopeChain& chain,
+                                   const FragmentResolver& fragments,
+                                   std::string& out) const {
+  const TemplateContext* owner = nullptr;
   for (const Node& node : nodes) {
     switch (node.type) {
       case NodeType::kText:
-        out.body += node.text;
+        out += node.text;
         break;
       case NodeType::kVariable:
-        if (const std::string* v = LookupString(scope, node.text)) {
-          out.body += HtmlEscape(*v);
-        }
-        break;
       case NodeType::kRawVariable:
-        if (const std::string* v = LookupString(scope, node.text)) {
-          out.body += *v;
+        if (const auto* slot = Resolve(chain, node, false, &owner)) {
+          const std::string_view value =
+              owner->Bytes(slot->value_at, slot->value_size);
+          if (node.type == NodeType::kVariable) {
+            HtmlEscapeTo(value, out);
+          } else {
+            out += value;
+          }
         }
         break;
-      case NodeType::kSection: {
-        if (const auto* list = LookupList(scope, node.text)) {
-          for (const TemplateContext& item : *list) {
-            auto inner = scope;
-            inner.push_back(&item);
+      case NodeType::kSection:
+        if (const auto* list = Resolve(chain, node, true, &owner)) {
+          for (uint32_t item = list->first_item;
+               item != TemplateContext::kNone;
+               item = owner->scopes_[item].next_item) {
+            const ScopeChain inner{owner, item, &chain};
             RenderNodes(node.children, inner, fragments, out);
           }
         }
         break;
-      }
-      case NodeType::kInverted: {
-        const auto* list = LookupList(scope, node.text);
-        if (list == nullptr || list->empty()) {
-          RenderNodes(node.children, scope, fragments, out);
+      case NodeType::kInverted:
+        // A list always holds at least one item once created.
+        if (Resolve(chain, node, true, &owner) == nullptr) {
+          RenderNodes(node.children, chain, fragments, out);
         }
         break;
-      }
       case NodeType::kFragment: {
-        out.fragments_used.push_back(node.text);
         if (fragments) {
           Result<std::string> body = fragments(node.text);
           if (body.ok()) {
-            out.body += body.value();
+            out += body.value();
             break;
           }
         }
-        out.missing_fragments.push_back(node.text);
-        out.body += "<!-- missing fragment: " + HtmlEscape(node.text) + " -->";
+        out += "<!-- missing fragment: ";
+        HtmlEscapeTo(node.text, out);
+        out += " -->";
         break;
       }
     }
   }
 }
 
-RenderOutput CompiledTemplate::Render(const TemplateContext& context,
-                                      const FragmentResolver& fragments) const {
-  RenderOutput out;
-  RenderNodes(roots_, {&context}, fragments, out);
-  return out;
+void CompiledTemplate::Render(const TemplateContext& context, std::string& out,
+                              const FragmentResolver& fragments) const {
+  RenderNodes(roots_, ScopeChain{&context, 0, nullptr}, fragments, out);
 }
 
 size_t CompiledTemplate::node_count() const {

@@ -122,17 +122,22 @@ ServeOutcome DynamicPageServer::Serve(std::string_view path, bool include_body,
   return out;
 }
 
-Result<std::string> DynamicPageServer::GenerateWithRetry(
+Result<DynamicPageServer::Generated> DynamicPageServer::GenerateWithRetry(
     std::string_view path, TimeNs deadline, uint32_t* retries,
     const Flights::Ticket* flight) {
   const RetryOptions& retry = options_.retry;
   TimeNs backoff = retry.initial_backoff;
   Status last = InternalError("no attempt made");
   for (uint32_t attempt = 0; attempt < retry.max_attempts; ++attempt) {
-    auto body = flight != nullptr ? renderer_->RenderAndCache(path)
-                                  : renderer_->RenderOnly(path);
-    if (body.ok()) return body;
-    last = body.status();
+    if (flight != nullptr) {
+      auto stored = renderer_->RenderAndCache(path);
+      if (stored.ok()) return Generated{std::move(stored).value(), {}};
+      last = stored.status();
+    } else {
+      auto body = renderer_->RenderOnly(path);
+      if (body.ok()) return Generated{nullptr, std::move(body).value()};
+      last = body.status();
+    }
     // kNotFound is a stable answer and anything non-transient is a bug or
     // a hard failure: retrying either just burns the deadline.
     if (!IsTransient(last)) return last;
@@ -277,36 +282,26 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
                                            bool include_body, TimeNs deadline,
                                            const Flights::Ticket* flight) {
   ServeOutcome out;
-  auto body = GenerateWithRetry(path, deadline, &out.retries, flight);
+  auto generated = GenerateWithRetry(path, deadline, &out.retries, flight);
   ReleaseRender();
-  if (body.ok()) {
+  if (generated.ok()) {
     cells_.cache_misses->Increment();
     out.cls = ServeClass::kCacheMissGenerated;
     out.cpu_cost = options_.costs.generate_dynamic;
-    out.bytes = body.value().size();
     if (flight == nullptr) {
       // A never-cache page is ours alone to give away — moving it is free,
       // so the body travels regardless of include_body.
-      out.body = std::move(body).value();
+      out.body = std::move(generated.value().body);
+      out.bytes = out.body.size();
       return out;
     }
-    // Serve by reference: RenderAndCache just stored the page, so alias the
-    // cached object and the whole fan-out — leader, waiters, and the HTTP
-    // write path — shares one ref-counted copy (misses are zero-copy too).
-    // A composed page arrives as per-chunk refs, same as a cache hit.
-    if (auto cached = cache_->Peek(path)) {
-      FillCachedEntity(out, cached, /*include_body=*/false);
-    } else {
-      // A concurrent invalidation dropped the entry between store and
-      // publish: wrap the rendered body so the fan-out still shares refs.
-      auto owned =
-          std::make_shared<const std::string>(std::move(body).value());
-      auto headers = std::make_shared<const std::string>(
-          "Content-Length: " + std::to_string(owned->size()) + "\r\n");
-      out.body_ref = std::move(owned);
-      out.entity_headers = std::move(headers);
-    }
-  } else if (body.status().code() == ErrorCode::kNotFound) {
+    // Serve by reference the snapshot RenderAndCache stored: the whole
+    // fan-out — leader, waiters, and the HTTP write path — shares one
+    // ref-counted copy (misses are zero-copy too), even if an invalidation
+    // or eviction has already dropped the entry. A composed page arrives as
+    // per-chunk refs, same as a cache hit.
+    FillCachedEntity(out, generated.value().stored, /*include_body=*/false);
+  } else if (generated.status().code() == ErrorCode::kNotFound) {
     cells_.not_found->Increment();
     out.cls = ServeClass::kNotFound;
     out.cpu_cost = options_.costs.not_found;
@@ -314,7 +309,7 @@ ServeOutcome DynamicPageServer::LeadRender(std::string_view path,
     // Retries exhausted: elegant degradation — last-known-good copy over a
     // 500.
     const uint32_t retries = out.retries;
-    out = DegradeToStale(path, include_body, body.status());
+    out = DegradeToStale(path, include_body, generated.status());
     out.retries = retries;
   }
   if (flight != nullptr) {

@@ -230,10 +230,15 @@ class DynamicPageServer {
   // `flight`, the page is rendered into the cache and the retry schedule is
   // bounded by the flight's deadline horizon (which waiters may extend)
   // instead of the leader's own deadline; without one it is rendered
-  // uncached.
-  Result<std::string> GenerateWithRetry(std::string_view path, TimeNs deadline,
-                                        uint32_t* retries,
-                                        const Flights::Ticket* flight);
+  // uncached. The result is the snapshot the caching render stored, or the
+  // uncached render's bytes.
+  struct Generated {
+    std::shared_ptr<const cache::CachedObject> stored;  // with a flight
+    std::string body;                                   // without one
+  };
+  Result<Generated> GenerateWithRetry(std::string_view path, TimeNs deadline,
+                                      uint32_t* retries,
+                                      const Flights::Ticket* flight);
   // The degraded fallback: last-known-good copy, or kError when there is
   // none.
   ServeOutcome DegradeToStale(std::string_view path, bool include_body,

@@ -351,12 +351,13 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     }
 
     attempted.fetch_add(1, std::memory_order_relaxed);
-    auto body = renderer_->RenderAndCache(name);
-    if (!body.ok()) return Outcome::kFailed;
-    bytes_rerendered.fetch_add(body.value().size(), std::memory_order_relaxed);
+    auto stored = renderer_->RenderAndCache(name);
+    if (!stored.ok()) return Outcome::kFailed;
+    bytes_rerendered.fetch_add(stored.value()->entity_size(),
+                               std::memory_order_relaxed);
     // Fig. 6 distribution: push the fresh copy to every serving node.
     if (options_.fleet != nullptr) {
-      options_.fleet->PutAll(name, body.value());
+      options_.fleet->PutAll(name, stored.value()->Materialize());
     }
     // The fresh body is now what readers see: stamp commit -> cache-visible.
     cells_.propagation_latency_ms->Observe(

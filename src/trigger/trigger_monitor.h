@@ -202,6 +202,13 @@ class TriggerMonitor : public db::ChangeSink {
 
   TriggerStats stats() const;
 
+  // The q-quantile of propagation_latency_ms (0 before any sample), read in
+  // place: /healthz asks on every probe, and stats() would copy every
+  // trigger histogram to answer.
+  double PropagationLatencyMs(double q) const {
+    return cells_.propagation_latency_ms->Percentile(q);
+  }
+
  private:
   // db::ChangeSink: fires synchronously on every commit (subscribed with
   // kAllShards — the monitor maintains the whole cache; per-shard

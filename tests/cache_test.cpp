@@ -31,9 +31,9 @@ TEST(CacheTest, PutThenHit) {
 
 TEST(CacheTest, UpdateInPlaceBumpsVersion) {
   ObjectCache cache;
-  EXPECT_EQ(cache.Put("/medals", "v1"), 1u);
-  EXPECT_EQ(cache.Put("/medals", "v2"), 2u);
-  EXPECT_EQ(cache.Put("/medals", "v3"), 3u);
+  EXPECT_EQ(cache.Put("/medals", "v1")->version, 1u);
+  EXPECT_EQ(cache.Put("/medals", "v2")->version, 2u);
+  EXPECT_EQ(cache.Put("/medals", "v3")->version, 3u);
   const auto obj = cache.Lookup("/medals");
   ASSERT_NE(obj, nullptr);
   EXPECT_EQ(obj->body, "v3");
@@ -251,7 +251,7 @@ std::vector<PlanChunk> HotPlan(ObjectCache& cache) {
 TEST(CacheTest, PutPlanComposesChunksAndHeaders) {
   ObjectCache cache;
   cache.Put("frag:f", "FRAG");
-  EXPECT_EQ(cache.PutPlan("/page", HotPlan(cache)), 1u);
+  EXPECT_EQ(cache.PutPlan("/page", HotPlan(cache))->version, 1u);
 
   const auto obj = cache.Lookup("/page");
   ASSERT_NE(obj, nullptr);

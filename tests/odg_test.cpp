@@ -132,6 +132,43 @@ TEST(GraphTest, ClearInEdgesDropsOnlyIncoming) {
   EXPECT_EQ(g.edge_count(), 1u);
 }
 
+// The renderer skips re-resolving a page's dependencies when the page's
+// in-edges still carry the signature it last set; any other edit to those
+// in-edges must drop the signature.
+TEST(GraphTest, InEdgeSignatureTracksTheEdgesItWasSetWith) {
+  ObjectDependenceGraph g;
+  const NodeId d1 = g.EnsureNode("d1", NodeKind::kUnderlyingData);
+  const NodeId d2 = g.EnsureNode("d2", NodeKind::kUnderlyingData);
+  const NodeId page = g.EnsureNode("page", NodeKind::kObject);
+  EXPECT_FALSE(g.InEdgesSigned("page", 7));
+  EXPECT_FALSE(g.InEdgesSigned("ghost", 7));
+
+  g.SetInEdges(page, {Edge{d1, 1.0}}, 7);
+  EXPECT_TRUE(g.InEdgesSigned("page", 7));
+  EXPECT_FALSE(g.InEdgesSigned("page", 8));
+  EXPECT_FALSE(g.InEdgesSigned("page", 0));  // 0 means unsigned
+
+  // Same edges under a new signature: no edge change, signature moves.
+  g.SetInEdges(page, {Edge{d1, 1.0}}, 8);
+  EXPECT_TRUE(g.InEdgesSigned("page", 8));
+  EXPECT_FALSE(g.InEdgesSigned("page", 7));
+
+  ASSERT_TRUE(g.AddDependence(d2, page).ok());
+  EXPECT_FALSE(g.InEdgesSigned("page", 8));
+
+  g.SetInEdges(page, {Edge{d1, 1.0}, Edge{d2, 1.0}}, 9);
+  ASSERT_TRUE(g.RemoveDependence(d2, page).ok());
+  EXPECT_FALSE(g.InEdgesSigned("page", 9));
+
+  g.SetInEdges(page, {Edge{d1, 1.0}}, 10);
+  g.ClearInEdges(page);
+  EXPECT_FALSE(g.InEdgesSigned("page", 10));
+
+  g.SetInEdges(page, {Edge{d1, 1.0}}, 11);
+  g.SetInEdges(page, {Edge{d1, 1.0}});  // unsigned rewrite
+  EXPECT_FALSE(g.InEdgesSigned("page", 11));
+}
+
 TEST(GraphTest, VersionBumpsOnMutation) {
   ObjectDependenceGraph g;
   const uint64_t v0 = g.stats().version;

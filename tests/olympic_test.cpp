@@ -35,11 +35,18 @@ class OlympicTest : public ::testing::Test {
     return std::move(batch.value().records);
   }
 
+  // RenderAndCache, returning the stored object's bytes.
+  Result<std::string> RenderAndCacheBytes(std::string_view page) {
+    auto stored = renderer_.RenderAndCache(page);
+    if (!stored.ok()) return stored.status();
+    return stored.value()->Materialize();
+  }
+
   // Renders every page; returns name -> body.
   std::map<std::string, std::string> RenderAll() {
     std::map<std::string, std::string> bodies;
     for (const auto& page : OlympicSite::AllPageNames(config_, db_)) {
-      auto body = renderer_.RenderAndCache(page);
+      auto body = RenderAndCacheBytes(page);
       EXPECT_TRUE(body.ok()) << page << ": " << body.status().ToString();
       if (body.ok()) bodies[page] = std::move(body).value();
     }
@@ -77,7 +84,7 @@ TEST_F(OlympicTest, EveryPageRenders) {
 
 TEST_F(OlympicTest, EveryFragmentRenders) {
   for (const auto& fragment : OlympicSite::AllFragmentNames(config_, db_)) {
-    EXPECT_TRUE(renderer_.RenderAndCache(fragment).ok()) << fragment;
+    EXPECT_TRUE(RenderAndCacheBytes(fragment).ok()) << fragment;
   }
 }
 
@@ -93,8 +100,8 @@ TEST_F(OlympicTest, PageCountScalesWithContent) {
 }
 
 TEST_F(OlympicTest, LanguageVariantsAreDistinctDocuments) {
-  const auto en = renderer_.RenderAndCache("/day/1");
-  const auto ja = renderer_.RenderAndCache("/ja/day/1");
+  const auto en = RenderAndCacheBytes("/day/1");
+  const auto ja = RenderAndCacheBytes("/ja/day/1");
   ASSERT_TRUE(en.ok());
   ASSERT_TRUE(ja.ok());
   EXPECT_NE(en.value(), ja.value());
@@ -103,15 +110,15 @@ TEST_F(OlympicTest, LanguageVariantsAreDistinctDocuments) {
 }
 
 TEST_F(OlympicTest, FrenchServesNewsOnly) {
-  EXPECT_TRUE(renderer_.RenderAndCache("/fr/news/1").ok());
-  EXPECT_TRUE(renderer_.RenderAndCache("/fr/news").ok());
+  EXPECT_TRUE(RenderAndCacheBytes("/fr/news/1").ok());
+  EXPECT_TRUE(RenderAndCacheBytes("/fr/news").ok());
   EXPECT_FALSE(renderer_.CanGenerate("/fr/day/1"));
   EXPECT_FALSE(renderer_.CanGenerate("/fr/medals"));
 }
 
 TEST_F(OlympicTest, AllLanguageVariantsShareDataNodes) {
-  ASSERT_TRUE(renderer_.RenderAndCache("/event/1").ok());
-  ASSERT_TRUE(renderer_.RenderAndCache("/ja/event/1").ok());
+  ASSERT_TRUE(RenderAndCacheBytes("/event/1").ok());
+  ASSERT_TRUE(RenderAndCacheBytes("/ja/event/1").ok());
   const auto data = graph_.Find("results:event:1");
   ASSERT_NE(data, odg::kInvalidNode);
   EXPECT_TRUE(graph_.HasEdge(data, graph_.Find("/event/1")));
@@ -123,13 +130,13 @@ TEST_F(OlympicTest, VenuePagesListTheirProgramme) {
   const auto venues = db_.ScanAll("venues");
   ASSERT_FALSE(venues.empty());
   const std::string name = std::get<std::string>(venues[0][0]);
-  const auto body = renderer_.RenderAndCache(OlympicSite::VenuePage(name));
+  const auto body = RenderAndCacheBytes(OlympicSite::VenuePage(name));
   ASSERT_TRUE(body.ok()) << body.status().ToString();
   EXPECT_NE(body.value().find(name), std::string::npos);
   // Slug round-trips names with spaces and hyphens.
-  EXPECT_TRUE(renderer_.RenderAndCache(OlympicSite::VenuePage("M-Wave")).ok());
+  EXPECT_TRUE(RenderAndCacheBytes(OlympicSite::VenuePage("M-Wave")).ok());
   EXPECT_TRUE(
-      renderer_.RenderAndCache(OlympicSite::VenuePage("White Ring")).ok());
+      RenderAndCacheBytes(OlympicSite::VenuePage("White Ring")).ok());
   EXPECT_EQ(
       renderer_.RenderOnly(OlympicSite::VenuePage("Atlantis")).status().code(),
       ErrorCode::kNotFound);
@@ -142,7 +149,7 @@ TEST_F(OlympicTest, EventChangePropagatesToVenuePage) {
   ASSERT_TRUE(event.ok());
   const std::string venue = std::get<std::string>(event.value()[4]);
   const std::string page = OlympicSite::VenuePage(venue);
-  ASSERT_TRUE(renderer_.RenderAndCache(page).ok());
+  ASSERT_TRUE(RenderAndCacheBytes(page).ok());
 
   const uint64_t baseline = db_.LastSeqno();
   ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 1, 95.0).ok());
@@ -166,8 +173,8 @@ TEST_F(OlympicTest, PhotoInsertionPropagatesToSubjectPages) {
   // into the appropriate ... pages." A page rendered before any photo
   // exists must still depend on its photo node, so the first classified
   // photo lands in the DUP affected set.
-  ASSERT_TRUE(renderer_.RenderAndCache("/event/1").ok());
-  ASSERT_TRUE(renderer_.RenderAndCache("/athlete/1").ok());
+  ASSERT_TRUE(RenderAndCacheBytes("/event/1").ok());
+  ASSERT_TRUE(RenderAndCacheBytes("/athlete/1").ok());
 
   const uint64_t baseline = db_.LastSeqno();
   ASSERT_TRUE(
@@ -189,7 +196,7 @@ TEST_F(OlympicTest, PhotoInsertionPropagatesToSubjectPages) {
   EXPECT_TRUE(affected.count("/event/1"));
   EXPECT_FALSE(affected.count("/athlete/1"));  // different subject
 
-  const auto body = renderer_.RenderAndCache("/event/1");
+  const auto body = RenderAndCacheBytes("/event/1");
   ASSERT_TRUE(body.ok());
   EXPECT_NE(body.value().find("Gold medal leap"), std::string::npos);
   EXPECT_NE(body.value().find("/img/1.jpg"), std::string::npos);
@@ -199,7 +206,7 @@ TEST_F(OlympicTest, PhotoCaptionsAreEscaped) {
   ASSERT_TRUE(OlympicSite::PublishPhoto(&db_, 2, "<script>alert(1)</script>",
                                         "athlete", "1", 1)
                   .ok());
-  const auto body = renderer_.RenderAndCache("/athlete/1");
+  const auto body = RenderAndCacheBytes("/athlete/1");
   ASSERT_TRUE(body.ok());
   EXPECT_EQ(body.value().find("<script>"), std::string::npos);
   EXPECT_NE(body.value().find("&lt;script&gt;"), std::string::npos);
@@ -209,7 +216,7 @@ TEST_F(OlympicTest, PhotosOnCountryAndVenuePages) {
   ASSERT_TRUE(
       OlympicSite::PublishPhoto(&db_, 3, "Flag ceremony", "country", "JPN", 1)
           .ok());
-  const auto country = renderer_.RenderAndCache("/country/JPN");
+  const auto country = RenderAndCacheBytes("/country/JPN");
   ASSERT_TRUE(country.ok());
   EXPECT_NE(country.value().find("Flag ceremony"), std::string::npos);
 
@@ -217,7 +224,7 @@ TEST_F(OlympicTest, PhotosOnCountryAndVenuePages) {
   const std::string venue = std::get<std::string>(venues[0][0]);
   ASSERT_TRUE(
       OlympicSite::PublishPhoto(&db_, 4, "Crowd shot", "venue", venue, 1).ok());
-  const auto vpage = renderer_.RenderAndCache(OlympicSite::VenuePage(venue));
+  const auto vpage = RenderAndCacheBytes(OlympicSite::VenuePage(venue));
   ASSERT_TRUE(vpage.ok());
   EXPECT_NE(vpage.value().find("Crowd shot"), std::string::npos);
 }
@@ -225,32 +232,32 @@ TEST_F(OlympicTest, PhotosOnCountryAndVenuePages) {
 TEST_F(OlympicTest, PhotoReachesDayHomeThroughEventFragment) {
   // Day homes embed the event fragments; a photo classified to an event
   // therefore changes the day home too (Fig. 15's fan-out).
-  ASSERT_TRUE(renderer_.RenderAndCache("/day/1").ok());
+  ASSERT_TRUE(RenderAndCacheBytes("/day/1").ok());
   const auto event = db_.Get("events", db::Value(int64_t(1)));
   const int day = static_cast<int>(std::get<int64_t>(event.value()[3]));
   const std::string day_home = OlympicSite::DayHomePage(day);
-  ASSERT_TRUE(renderer_.RenderAndCache(day_home).ok());
+  ASSERT_TRUE(RenderAndCacheBytes(day_home).ok());
 
   ASSERT_TRUE(
       OlympicSite::PublishPhoto(&db_, 5, "Photo finish", "event", "1", day)
           .ok());
   // Regenerate fragment then page (the trigger monitor's order).
-  ASSERT_TRUE(renderer_.RenderAndCache(OlympicSite::EventFragment(1)).ok());
-  const auto body = renderer_.RenderAndCache(day_home);
+  ASSERT_TRUE(RenderAndCacheBytes(OlympicSite::EventFragment(1)).ok());
+  const auto body = RenderAndCacheBytes(day_home);
   ASSERT_TRUE(body.ok());
   EXPECT_NE(body.value().find("Photo finish"), std::string::npos);
 }
 
 TEST_F(OlympicTest, NaganoAndFunPagesRender) {
-  const auto nagano = renderer_.RenderAndCache("/nagano");
+  const auto nagano = RenderAndCacheBytes("/nagano");
   ASSERT_TRUE(nagano.ok());
   EXPECT_NE(nagano.value().find("XVIII Olympic Winter Games"),
             std::string::npos);
-  const auto fun = renderer_.RenderAndCache("/fun");
+  const auto fun = RenderAndCacheBytes("/fun");
   ASSERT_TRUE(fun.ok());
   EXPECT_NE(fun.value().find("children"), std::string::npos);
-  EXPECT_TRUE(renderer_.RenderAndCache("/ja/nagano").ok());
-  EXPECT_TRUE(renderer_.RenderAndCache("/ja/fun").ok());
+  EXPECT_TRUE(RenderAndCacheBytes("/ja/nagano").ok());
+  EXPECT_TRUE(RenderAndCacheBytes("/ja/fun").ok());
 }
 
 TEST_F(OlympicTest, UnknownIdsAreNotFound) {
@@ -305,9 +312,9 @@ TEST_F(OlympicTest, CompleteEventNeedsThreeResults) {
 }
 
 TEST_F(OlympicTest, ResultAppearsInEventPage) {
-  ASSERT_TRUE(renderer_.RenderAndCache("/event/1").ok());
+  ASSERT_TRUE(RenderAndCacheBytes("/event/1").ok());
   ASSERT_TRUE(OlympicSite::RecordResult(&db_, 1, 1, 7, 88.25).ok());
-  const auto body = renderer_.RenderAndCache("/event/1");
+  const auto body = RenderAndCacheBytes("/event/1");
   ASSERT_TRUE(body.ok());
   EXPECT_NE(body.value().find("88.25"), std::string::npos);
 }
@@ -328,7 +335,7 @@ TEST_F(OlympicTest, MedalFragmentOmitsZeroCountries) {
 }
 
 TEST_F(OlympicTest, DayHomeEmbedsFragments) {
-  const auto body = renderer_.RenderAndCache("/day/1");
+  const auto body = RenderAndCacheBytes("/day/1");
   ASSERT_TRUE(body.ok());
   // The medal table and news box are spliced in; fragments are now cached.
   EXPECT_TRUE(cache_.Contains(OlympicSite::kMedalsFragment));

@@ -149,16 +149,19 @@ TEST_P(TemplateFuzzTest, ValidGrammarAlwaysCompilesAndRenders) {
       ctx.Set("raw" + std::to_string(r), "<R" + std::to_string(r) + ">");
     }
     for (int l = 0; l < 3; ++l) {
-      std::vector<pagegen::TemplateContext> items(rng.NextBelow(3));
-      for (auto& item : items) item.Set("var0", "inner");
-      ctx.SetList("list" + std::to_string(l), std::move(items));
+      const std::string list = "list" + std::to_string(l);
+      for (size_t i = rng.NextBelow(3); i > 0; --i) {
+        ctx.AddItem(list).Set("var0", "inner");
+      }
     }
-    const auto output = compiled.value().Render(ctx);
+    std::string output;
+    compiled.value().Render(ctx, output);
     // Escaped output never leaks a raw '<' from variable substitution of
     // the V* values (they contain none) — mostly we assert no crash and
     // deterministic behaviour:
-    const auto again = compiled.value().Render(ctx);
-    EXPECT_EQ(output.body, again.body);
+    std::string again;
+    compiled.value().Render(ctx, again);
+    EXPECT_EQ(output, again);
   }
 }
 
@@ -175,7 +178,8 @@ TEST_P(TemplateFuzzTest, ArbitraryBytesNeverCrash) {
     if (compiled.ok()) {
       pagegen::TemplateContext ctx;
       ctx.Set("a", "x");
-      (void)compiled.value().Render(ctx);  // must not crash
+      std::string out;
+      compiled.value().Render(ctx, out);  // must not crash
     } else {
       EXPECT_FALSE(compiled.status().message().empty());
     }

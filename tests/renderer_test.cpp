@@ -28,7 +28,8 @@ TEST_F(RendererTest, ExactGeneratorRendersAndCaches) {
   });
   const auto body = renderer_.RenderAndCache("/medals");
   ASSERT_TRUE(body.ok());
-  EXPECT_EQ(body.value(), "medal table");
+  EXPECT_EQ(body.value()->Materialize(), "medal table");
+  EXPECT_EQ(body.value(), cache_.Peek("/medals"));  // the stored snapshot
   ASSERT_TRUE(cache_.Contains("/medals"));
   EXPECT_EQ(cache_.Peek("/medals")->body, "medal table");
 }
@@ -132,7 +133,7 @@ TEST_F(RendererTest, FragmentRenderedRecursivelyAndCached) {
 
   const auto body = renderer_.RenderAndCache("/home");
   ASSERT_TRUE(body.ok());
-  EXPECT_EQ(body.value(), "home [box]");
+  EXPECT_EQ(body.value()->Materialize(), "home [box]");
   EXPECT_TRUE(cache_.Contains("frag:box"));  // fragment cached as a side effect
 
   const auto frag_node = graph_.Find("frag:box");

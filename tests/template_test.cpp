@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "pagegen/template.h"
 
@@ -11,7 +12,9 @@ std::string RenderStr(const char* source, const TemplateContext& ctx,
                       const FragmentResolver& fragments = nullptr) {
   auto t = CompiledTemplate::Compile(source);
   EXPECT_TRUE(t.ok()) << t.status().ToString();
-  return t.value().Render(ctx, fragments).body;
+  std::string out;
+  t.value().Render(ctx, out, fragments);
+  return out;
 }
 
 TEST(TemplateTest, PlainText) {
@@ -62,18 +65,10 @@ TEST(TemplateTest, CommentDropped) {
 
 TEST(TemplateTest, SectionRepeatsPerItem) {
   TemplateContext ctx;
-  std::vector<TemplateContext> items;
   for (int i = 1; i <= 3; ++i) {
-    items.emplace_back().Set("n", int64_t(i));
+    ctx.AddItem("items").Set("n", int64_t(i));
   }
-  ctx.SetList("items", std::move(items));
   EXPECT_EQ(RenderStr("{{#items}}<{{n}}>{{/items}}", ctx), "<1><2><3>");
-}
-
-TEST(TemplateTest, EmptySectionRendersNothing) {
-  TemplateContext ctx;
-  ctx.SetList("items", {});
-  EXPECT_EQ(RenderStr("a{{#items}}X{{/items}}b", ctx), "ab");
 }
 
 TEST(TemplateTest, AbsentSectionRendersNothing) {
@@ -81,33 +76,26 @@ TEST(TemplateTest, AbsentSectionRendersNothing) {
   EXPECT_EQ(RenderStr("a{{#items}}X{{/items}}b", ctx), "ab");
 }
 
-TEST(TemplateTest, InvertedSectionOnEmpty) {
+TEST(TemplateTest, InvertedSectionOnAbsent) {
   TemplateContext ctx;
-  ctx.SetList("items", {});
   EXPECT_EQ(RenderStr("{{^items}}none{{/items}}", ctx), "none");
 }
 
 TEST(TemplateTest, InvertedSectionSuppressedWhenPresent) {
   TemplateContext ctx;
-  std::vector<TemplateContext> items(1);
-  ctx.SetList("items", std::move(items));
+  ctx.AddItem("items");
   EXPECT_EQ(RenderStr("{{^items}}none{{/items}}", ctx), "");
 }
 
 TEST(TemplateTest, NestedSections) {
   TemplateContext ctx;
-  std::vector<TemplateContext> outer;
   for (int i = 0; i < 2; ++i) {
-    TemplateContext o;
+    auto o = ctx.AddItem("outer");
     o.Set("tag", "g" + std::to_string(i));
-    std::vector<TemplateContext> inner;
     for (int j = 0; j < 2; ++j) {
-      inner.emplace_back().Set("v", int64_t(j));
+      o.AddItem("inner").Set("v", int64_t(j));
     }
-    o.SetList("inner", std::move(inner));
-    outer.push_back(std::move(o));
   }
-  ctx.SetList("outer", std::move(outer));
   EXPECT_EQ(RenderStr("{{#outer}}[{{tag}}:{{#inner}}{{v}}{{/inner}}]{{/outer}}",
                       ctx),
             "[g0:01][g1:01]");
@@ -116,33 +104,28 @@ TEST(TemplateTest, NestedSections) {
 TEST(TemplateTest, SectionScopeFallsBackToOuter) {
   TemplateContext ctx;
   ctx.Set("site", "Nagano");
-  std::vector<TemplateContext> items(1);
-  items[0].Set("n", int64_t(1));
-  ctx.SetList("items", std::move(items));
+  ctx.AddItem("items").Set("n", int64_t(1));
   EXPECT_EQ(RenderStr("{{#items}}{{n}}@{{site}}{{/items}}", ctx), "1@Nagano");
 }
 
 TEST(TemplateTest, InnerShadowsOuter) {
   TemplateContext ctx;
   ctx.Set("x", "outer");
-  std::vector<TemplateContext> items(1);
-  items[0].Set("x", "inner");
-  ctx.SetList("items", std::move(items));
+  ctx.AddItem("items").Set("x", "inner");
   EXPECT_EQ(RenderStr("{{#items}}{{x}}{{/items}}", ctx), "inner");
 }
 
 TEST(TemplateTest, FragmentSplicedViaResolver) {
   TemplateContext ctx;
-  auto resolver = [](std::string_view name) -> Result<std::string> {
+  std::vector<std::string> used;
+  auto resolver = [&used](std::string_view name) -> Result<std::string> {
+    used.emplace_back(name);
     return "[" + std::string(name) + "]";
   };
-  auto t = CompiledTemplate::Compile("a {{>frag:medals}} b");
-  ASSERT_TRUE(t.ok());
-  const auto out = t.value().Render(ctx, resolver);
-  EXPECT_EQ(out.body, "a [frag:medals] b");
-  ASSERT_EQ(out.fragments_used.size(), 1u);
-  EXPECT_EQ(out.fragments_used[0], "frag:medals");
-  EXPECT_TRUE(out.missing_fragments.empty());
+  EXPECT_EQ(RenderStr("a {{>frag:medals}} b", ctx, resolver),
+            "a [frag:medals] b");
+  ASSERT_EQ(used.size(), 1u);
+  EXPECT_EQ(used[0], "frag:medals");
 }
 
 TEST(TemplateTest, MissingFragmentPlaceholder) {
@@ -150,20 +133,33 @@ TEST(TemplateTest, MissingFragmentPlaceholder) {
   auto resolver = [](std::string_view) -> Result<std::string> {
     return NotFoundError("no");
   };
-  auto t = CompiledTemplate::Compile("{{>ghost}}");
-  ASSERT_TRUE(t.ok());
-  const auto out = t.value().Render(ctx, resolver);
-  EXPECT_NE(out.body.find("missing fragment"), std::string::npos);
-  ASSERT_EQ(out.missing_fragments.size(), 1u);
-  EXPECT_EQ(out.missing_fragments[0], "ghost");
+  EXPECT_EQ(RenderStr("{{>gh<st}}", ctx, resolver),
+            "<!-- missing fragment: gh&lt;st -->");
 }
 
 TEST(TemplateTest, FragmentWithoutResolverIsMissing) {
   TemplateContext ctx;
-  auto t = CompiledTemplate::Compile("{{>x}}");
+  EXPECT_EQ(RenderStr("{{>x}}", ctx), "<!-- missing fragment: x -->");
+}
+
+TEST(TemplateTest, ParentContextSearchedLast) {
+  TemplateContext chrome;
+  chrome.Set("lang", "ja").Set("x", "parent");
+  TemplateContext ctx(&chrome);
+  ctx.Set("x", "own");
+  ctx.AddItem("items").Set("n", int64_t(1));
+  EXPECT_EQ(RenderStr("{{lang}} {{x}} {{#items}}{{n}}{{lang}}{{/items}}", ctx),
+            "ja own 1ja");
+}
+
+TEST(TemplateTest, AppendsToOutput) {
+  auto t = CompiledTemplate::Compile("{{x}}");
   ASSERT_TRUE(t.ok());
-  const auto out = t.value().Render(ctx);
-  EXPECT_EQ(out.missing_fragments.size(), 1u);
+  TemplateContext ctx;
+  ctx.Set("x", "b");
+  std::string out = "a";
+  t.value().Render(ctx, out);
+  EXPECT_EQ(out, "ab");
 }
 
 // --- malformed input ---------------------------------------------------------
@@ -209,23 +205,41 @@ TEST(TemplateContextTest, SetOverwrites) {
   TemplateContext ctx;
   ctx.Set("k", "v1");
   ctx.Set("k", "v2");
-  EXPECT_EQ(*ctx.GetString("k"), "v2");
+  EXPECT_EQ(RenderStr("{{k}}", ctx), "v2");
+}
+
+TEST(TemplateContextTest, SetCopiesTemporaries) {
+  TemplateContext ctx;
+  ctx.Set(std::string("key"), std::string(40, 'v'));
+  EXPECT_EQ(RenderStr("{{key}}", ctx), std::string(40, 'v'));
 }
 
 TEST(TemplateContextTest, ListAndStringShapesDistinct) {
+  const char* source = "[{{k}}|{{#k}}item{{/k}}]";
   TemplateContext ctx;
   ctx.Set("k", "v");
-  EXPECT_NE(ctx.GetString("k"), nullptr);
-  EXPECT_EQ(ctx.GetList("k"), nullptr);
-  ctx.SetList("k", {});
-  EXPECT_EQ(ctx.GetString("k"), nullptr);
-  EXPECT_NE(ctx.GetList("k"), nullptr);
+  EXPECT_EQ(RenderStr(source, ctx), "[v|]");
+  ctx.AddItem("k");  // the list shadows the string
+  EXPECT_EQ(RenderStr(source, ctx), "[|item]");
+}
+
+TEST(TemplateContextTest, ShapeMismatchFallsBackToOuterScope) {
+  TemplateContext ctx;
+  ctx.Set("k", "outer");
+  ctx.AddItem("items").AddItem("k");  // inner list named like the string
+  EXPECT_EQ(RenderStr("{{#items}}{{k}}{{/items}}", ctx), "outer");
+}
+
+std::string Escaped(std::string_view s) {
+  std::string out;
+  HtmlEscapeTo(s, out);
+  return out;
 }
 
 TEST(HtmlEscapeTest, EscapesAll) {
-  EXPECT_EQ(HtmlEscape("a<b>&\"c"), "a&lt;b&gt;&amp;&quot;c");
-  EXPECT_EQ(HtmlEscape("plain"), "plain");
-  EXPECT_EQ(HtmlEscape(""), "");
+  EXPECT_EQ(Escaped("a<b>&\"c"), "a&lt;b&gt;&amp;&quot;c");
+  EXPECT_EQ(Escaped("plain"), "plain");
+  EXPECT_EQ(Escaped(""), "");
 }
 
 }  // namespace
