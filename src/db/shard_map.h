@@ -14,6 +14,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/fnv.h"
+
 namespace nagano::db {
 
 // Sentinel shard filter: deliver changes from every shard.
@@ -35,13 +37,14 @@ class HashShardMap final : public ShardMap {
  public:
   uint32_t ShardOf(std::string_view, std::string_view key,
                    uint32_t num_shards) const override {
-    uint64_t h = 1469598103934665603ull;
-    for (const char c : key) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ull;
-    }
+    const uint64_t h = Fnv1a(key, kPlacementBasis);
     return num_shards <= 1 ? 0 : static_cast<uint32_t>(h % num_shards);
   }
+
+  // Placement has always started from this value rather than the standard
+  // offset basis; it stays, since another start would move keys between
+  // shards of existing data.
+  static constexpr uint64_t kPlacementBasis = 1469598103934665603ull;
 
   static const HashShardMap& Instance() {
     static const HashShardMap map;

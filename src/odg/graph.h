@@ -84,11 +84,12 @@ class ObjectDependenceGraph {
   // that leave a page's dependencies unchanged (the steady state of the
   // parallel re-render pipeline) then never serialize on the write lock.
   //
-  // A nonzero `signature` — the caller's digest of the dependency list that
-  // produced `sources` — is remembered with the in-edges until anything
-  // else changes them, so a caller that records the same list again can
-  // ask InEdgesSigned and skip resolving it into node ids at all.
-  void SetInEdges(NodeId of, std::vector<Edge> sources, uint64_t signature = 0);
+  // `signature` — the caller's digest of the dependency list that produced
+  // `sources` — is remembered with the in-edges until anything else changes
+  // them, so a caller that records the same list again can ask
+  // InEdgesSigned and skip resolving it into node ids at all. A signature
+  // of 0 is stored but never matches.
+  void SetInEdges(NodeId of, std::vector<Edge> sources, uint64_t signature);
 
   // True when `name` is a vertex whose in-edges were last set by
   // SetInEdges with this (nonzero) signature and have not changed since.

@@ -1,10 +1,10 @@
 #include "pagegen/renderer.h"
 
-#include <algorithm>
 #include <cassert>
 #include <charconv>
 
 #include "common/clock.h"
+#include "common/fnv.h"
 
 namespace nagano::pagegen {
 namespace {
@@ -118,11 +118,18 @@ Result<std::string> PageRenderer::RenderFlat(std::string_view page,
   if (!generator.ok()) return generator.status();
   const RenderState state{page, outer};
   Generated generated;
-  if (Status s = Generate(*generator.value(), state, /*flat=*/true, generated);
-      !s.ok()) {
+  if (Status s = Generate(*generator.value(), state, generated); !s.ok()) {
     return s;
   }
-  return std::move(generated.raw);
+  if (generated.plan.empty()) return std::move(generated.raw);
+  std::string body;
+  size_t total = 0;
+  for (const cache::PlanChunk& chunk : generated.plan) {
+    total += chunk.bytes().size();
+  }
+  body.reserve(total);
+  for (const cache::PlanChunk& chunk : generated.plan) body += chunk.bytes();
+  return body;
 }
 
 Result<PageRenderer::Stored> PageRenderer::RenderCached(
@@ -134,24 +141,14 @@ Result<PageRenderer::Stored> PageRenderer::RenderCached(
   // The generator run, ODG sync and store — what one flight does.
   auto render = [&]() -> Result<Stored> {
     Generated generated;
-    if (Status s = Generate(*generator.value(), state, /*flat=*/false,
-                            generated);
-        !s.ok()) {
+    if (Status s = Generate(*generator.value(), state, generated); !s.ok()) {
       return s;
     }
     if (generated.plan.empty()) {
       return cache_->Put(page, std::move(generated.raw));
     }
-    std::vector<cache::PlanChunk>& plan = generated.plan;
-    const bool has_fragment_chunk =
-        std::any_of(plan.begin(), plan.end(),
-                    [](const cache::PlanChunk& c) { return c.is_fragment(); });
-    if (!has_fragment_chunk) {
-      // Every fragment was inlined: one static chunk, stored flat.
-      return cache_->Put(page, std::move(plan.front().text));
-    }
     cells_.plans_stored->Increment();
-    return cache_->PutPlan(page, std::move(plan));
+    return cache_->PutPlan(page, std::move(generated.plan));
   };
 
   const std::string page_name(page);
@@ -173,8 +170,7 @@ Result<PageRenderer::Stored> PageRenderer::RenderCached(
 }
 
 Status PageRenderer::Generate(const PageGenerator& generator,
-                              const RenderState& state, bool flat,
-                              Generated& out) {
+                              const RenderState& state, Generated& out) {
   DependencyRecorder recorder;
   uint64_t fragment_hits = 0;
   const bool compose = options_.compose_pages;
@@ -227,7 +223,7 @@ Status PageRenderer::Generate(const PageGenerator& generator,
   if (body.ok()) {
     out.raw = std::move(body).value();
     if (compose && !out.fragments.empty()) {
-      status = flat ? SpliceFragments(out, state) : BuildPlan(out, state);
+      status = BuildPlan(out, state);
     }
   }
   if (!status.ok()) {
@@ -246,12 +242,9 @@ void PageRenderer::SyncDependencies(std::string_view page,
   // FNV-1a over the list as recorded (names length-prefixed, weights by
   // bit pattern). A re-render that records the same list — the steady
   // state — stops at one signature probe instead of resolving every name.
-  uint64_t signature = 0xcbf29ce484222325ULL;
+  uint64_t signature = kFnv1aOffsetBasis;
   auto mix = [&signature](const void* data, size_t n) {
-    const auto* bytes = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      signature = (signature ^ bytes[i]) * 0x100000001b3ULL;
-    }
+    signature = Fnv1a(data, n, signature);
   };
   auto mix_name = [&mix](std::string_view name) {
     const uint64_t size = name.size();
@@ -287,12 +280,18 @@ void PageRenderer::SyncDependencies(std::string_view page,
   graph_->SetInEdges(page_node, std::move(sources), signature);
 }
 
-Status PageRenderer::SplitMarkers(
-    const Generated& generated, const RenderState& state,
-    FunctionRef<void(std::string_view)> text,
-    FunctionRef<void(const std::string&, Stored)> fragment) {
+Status PageRenderer::BuildPlan(Generated& generated, const RenderState& state) {
   const std::string_view raw = generated.raw;
-  size_t pos = 0;   // first byte not yet passed on
+  std::vector<cache::PlanChunk> plan;
+  plan.reserve(2 * generated.fragments.size() + 1);
+  bool has_fragment_chunk = false;
+  // Static bytes extend the last chunk when it is static text.
+  auto text = [&plan](std::string_view bytes) {
+    if (bytes.empty()) return;
+    if (plan.empty() || plan.back().is_fragment()) plan.emplace_back();
+    plan.back().text += bytes;
+  };
+  size_t pos = 0;   // first byte not yet taken
   size_t scan = 0;  // where to look for the next marker
   for (;;) {
     const size_t open = raw.find(kFragMarkOpen, scan);
@@ -315,7 +314,11 @@ Status PageRenderer::SplitMarkers(
     const std::string& name = generated.fragments[index];
     auto source = cache_->Peek(name);
     if (source != nullptr && !source->is_plan()) {
-      fragment(name, std::move(source));
+      cache::PlanChunk& chunk = plan.emplace_back();
+      chunk.fragment = name;
+      chunk.fragment_version = source->version;
+      chunk.source = std::move(source);
+      has_fragment_chunk = true;
       continue;
     }
     // The fragment vanished between the resolver and here (capacity
@@ -330,44 +333,14 @@ Status PageRenderer::SplitMarkers(
     text(inlined.value());
   }
   text(raw.substr(pos));
+  if (has_fragment_chunk) {
+    generated.plan = std::move(plan);
+  } else {
+    // Every fragment was inlined: the page is flat — at most one static
+    // chunk — and raw (the view above is done with) becomes its bytes.
+    generated.raw = plan.empty() ? std::string() : std::move(plan.front().text);
+  }
   return Status::Ok();
-}
-
-Status PageRenderer::SpliceFragments(Generated& generated,
-                                     const RenderState& state) {
-  std::string body;
-  body.reserve(2 * generated.raw.size());
-  Status s = SplitMarkers(
-      generated, state, [&body](std::string_view text) { body += text; },
-      [&body](const std::string&, Stored source) { body += source->body; });
-  if (s.ok()) generated.raw = std::move(body);
-  return s;
-}
-
-Status PageRenderer::BuildPlan(Generated& generated, const RenderState& state) {
-  std::vector<cache::PlanChunk>& plan = generated.plan;
-  plan.reserve(2 * generated.fragments.size() + 1);
-  std::string pending;  // static bytes since the last fragment chunk
-  pending.reserve(generated.raw.size());
-  auto flush = [&] {
-    if (pending.empty()) return;
-    cache::PlanChunk chunk;
-    chunk.text = pending;  // exact-size copy; pending keeps its buffer
-    pending.clear();
-    plan.push_back(std::move(chunk));
-  };
-  Status s = SplitMarkers(
-      generated, state, [&pending](std::string_view text) { pending += text; },
-      [&](const std::string& name, Stored source) {
-        flush();
-        cache::PlanChunk chunk;
-        chunk.fragment = name;
-        chunk.fragment_version = source->version;
-        chunk.source = std::move(source);
-        plan.push_back(std::move(chunk));
-      });
-  flush();
-  return s;
 }
 
 RendererStats PageRenderer::stats() const { return cells_.Snapshot(); }

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "cache/object_cache.h"
-#include "common/function_ref.h"
 #include "common/metrics.h"
 #include "common/options.h"
 #include "common/result.h"
@@ -147,10 +146,12 @@ class PageRenderer {
     std::string_view page;
     const RenderState* outer;
   };
-  // A generator run's output. Flat renders (and pages that splice no
-  // fragment) end with the page bytes in `raw` and an empty `plan`; a
-  // caching render that spliced fragments in composition mode ends with the
-  // page in `plan`. `fragments` lists the fragments the page spliced.
+  // A generator run's output. A page that splices no fragment chunk ends
+  // with its bytes in `raw` and an empty `plan`; in composition mode a page
+  // that keeps at least one fragment chunk ends in `plan` (static chunks
+  // and pinned fragment snapshots), and `raw` is the marker-bearing
+  // generator output it was split from. `fragments` lists the fragments
+  // the page spliced.
   struct Generated {
     std::string raw;
     std::vector<std::string> fragments;
@@ -167,28 +168,20 @@ class PageRenderer {
   Result<const PageGenerator*> Resolve(std::string_view page,
                                        const RenderState* outer) const;
   // Runs `generator` for state.page, resolves the fragment markers in its
-  // output (into `raw` when `flat`, else into `plan`), and syncs the page's
-  // ODG in-edges with what the run recorded.
+  // output (BuildPlan), and syncs the page's ODG in-edges with what the run
+  // recorded.
   Status Generate(const PageGenerator& generator, const RenderState& state,
-                  bool flat, Generated& out);
+                  Generated& out);
   // Records `recorder` + `fragments` as `page`'s in-edges, unless the page
   // already carries exactly this dependency list.
   void SyncDependencies(std::string_view page,
                         const DependencyRecorder& recorder,
                         const std::vector<std::string>& fragments);
-  // Walks generated.raw in order: `text` gets each static byte run and
-  // `fragment` each marker whose fragment is live and flat in the cache. A
-  // fragment that is gone from the cache or is plan-shaped is inlined, its
-  // bytes passed to `text`.
-  Status SplitMarkers(
-      const Generated& generated, const RenderState& state,
-      FunctionRef<void(std::string_view)> text,
-      FunctionRef<void(const std::string&, Stored)> fragment);
-  // Replaces generated.raw by the page with every fragment's bytes spliced
-  // in where its marker stands.
-  Status SpliceFragments(Generated& generated, const RenderState& state);
-  // Splits generated.raw into generated.plan: static byte runs and pinned
-  // fragment snapshots.
+  // Splits generated.raw on its fragment markers into generated.plan:
+  // static byte runs and snapshots of the fragments that are live and flat
+  // in the cache. A fragment gone from the cache or plan-shaped is inlined
+  // as static text; when that leaves no fragment chunk, the plan stays
+  // empty and generated.raw becomes the marker-free page.
   Status BuildPlan(Generated& generated, const RenderState& state);
   const PageGenerator* FindGenerator(std::string_view page) const;
 

@@ -2,6 +2,8 @@
 
 #include <charconv>
 
+#include "common/fnv.h"
+
 namespace nagano::pagegen {
 
 TemplateContext::TemplateContext(const TemplateContext* parent)
@@ -57,11 +59,7 @@ TemplateContext::Item TemplateContext::Item::AddItem(std::string_view list) {
 }
 
 uint32_t TemplateContext::KeyHash(std::string_view key) {
-  uint32_t hash = 2166136261u;  // FNV-1a
-  for (const char c : key) {
-    hash = (hash ^ static_cast<unsigned char>(c)) * 16777619u;
-  }
-  return hash;
+  return static_cast<uint32_t>(Fnv1a(key));
 }
 
 uint32_t TemplateContext::NewSlot(uint32_t scope, std::string_view key) {

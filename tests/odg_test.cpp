@@ -165,8 +165,9 @@ TEST(GraphTest, InEdgeSignatureTracksTheEdgesItWasSetWith) {
   EXPECT_FALSE(g.InEdgesSigned("page", 10));
 
   g.SetInEdges(page, {Edge{d1, 1.0}}, 11);
-  g.SetInEdges(page, {Edge{d1, 1.0}});  // unsigned rewrite
+  g.SetInEdges(page, {Edge{d1, 1.0}}, 0);  // 0 replaces, never matches
   EXPECT_FALSE(g.InEdgesSigned("page", 11));
+  EXPECT_FALSE(g.InEdgesSigned("page", 0));
 }
 
 TEST(GraphTest, VersionBumpsOnMutation) {

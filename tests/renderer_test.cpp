@@ -158,6 +158,32 @@ TEST_F(RendererTest, CachedFragmentSplicedWithoutRegeneration) {
   EXPECT_EQ(renderer_.stats().fragment_cache_hits, 1u);
 }
 
+// A plan-shaped fragment is inlined into its embedding page as static text.
+// When that text is empty and the page has nothing else, the page has no
+// chunk at all; it must still be stored as its (empty) bytes, not as the
+// generator output with the fragment marker in it.
+TEST_F(RendererTest, PageOfOneEmptyInlinedFragmentIsEmpty) {
+  renderer_.RegisterExact("frag:inner", [](const RenderRequest&) {
+    return Result<std::string>("");
+  });
+  renderer_.RegisterExact("frag:outer", [](const RenderRequest& req) {
+    return req.fragments("frag:inner");  // stored as a plan
+  });
+  renderer_.RegisterExact("/page", [](const RenderRequest& req) {
+    return req.fragments("frag:outer");
+  });
+
+  const auto stored = renderer_.RenderAndCache("/page");
+  ASSERT_TRUE(stored.ok()) << stored.status().ToString();
+  EXPECT_TRUE(cache_.Peek("frag:outer")->is_plan());
+  EXPECT_FALSE(stored.value()->is_plan());
+  EXPECT_EQ(stored.value()->Materialize(), "");
+  EXPECT_EQ(cache_.Peek("/page")->Materialize(), "");
+  const auto flat = renderer_.RenderOnly("/page");
+  ASSERT_TRUE(flat.ok());
+  EXPECT_EQ(flat.value(), "");
+}
+
 TEST_F(RendererTest, IncludeCycleDetected) {
   renderer_.RegisterExact("frag:a", [](const RenderRequest& req) {
     return req.fragments("frag:b");
