@@ -265,7 +265,8 @@ void PageRenderer::SyncDependencies(std::string_view page,
   // This page's in-edges become exactly what this render observed. Kind
   // widening in EnsureNode turns a page that others embed into kBoth
   // automatically.
-  const odg::NodeId page_node = graph_->EnsureNode(page, odg::NodeKind::kObject);
+  const odg::NodeId page_node =
+      graph_->EnsureNode(page, odg::NodeKind::kObject);
   std::vector<odg::Edge> sources;
   sources.reserve(recorder.size() + fragments.size());
   for (size_t i = 0; i < recorder.size(); ++i) {
