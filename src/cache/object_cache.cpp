@@ -100,7 +100,9 @@ Result<std::shared_ptr<const CachedObject>> ObjectCache::TryLookup(
     return s;
   }
   if (auto hit = Lookup(key)) return hit;
-  return NotFoundError("cache miss: " + std::string(key));
+  // A fixed message that fits the small-string buffer: a miss, the common
+  // case under a bounded cache, allocates nothing.
+  return NotFoundError("cache miss");
 }
 
 std::shared_ptr<const CachedObject> ObjectCache::LookupStale(
@@ -229,37 +231,6 @@ uint64_t ObjectCache::PatchPlan(std::string_view key) {
     EvictLocked(shard, capacity_bytes_ / shards_.size());
   }
   return current->version + 1;
-}
-
-uint64_t ObjectCache::UpdateInPlace(std::string_view key, std::string body) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(key);
-  // Stale-retained counts as absent: a regeneration racing the
-  // invalidation must not resurrect the entry as live.
-  if (it == shard.map.end() || it->second.object->stale) return 0;
-
-  const size_t old_footprint = EntryFootprint(it->first, *it->second.object);
-  shard.bytes -= old_footprint;
-  auto obj = std::make_shared<CachedObject>();
-  obj->body = std::move(body);
-  obj->version = it->second.object->version + 1;
-  obj->stored_at = clock_->Now();
-  BuildEntityHeaders(*obj);
-  const uint64_t version = obj->version;
-  const size_t new_footprint = EntryFootprint(it->first, *obj);
-  shard.bytes += new_footprint;
-  bytes_gauge_->Add(static_cast<double>(new_footprint) -
-                    static_cast<double>(old_footprint));
-  it->second.object = std::move(obj);
-  it->second.lru_tick = lru_clock_.fetch_add(1, std::memory_order_relaxed);
-  cells_.updates_in_place->Increment();
-
-  if (capacity_bytes_ != 0) {
-    // May evict `it` itself when the grown body blows the budget.
-    EvictLocked(shard, capacity_bytes_ / shards_.size());
-  }
-  return version;
 }
 
 void ObjectCache::Pin(std::string_view key, bool pinned) {

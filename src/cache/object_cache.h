@@ -68,8 +68,8 @@ struct CachedObject {
   size_t plan_bytes = 0;
   // Ready-to-send entity-header lines for this body, each CRLF-terminated:
   // "Content-Length: N\r\nX-Nagano-Version: V\r\n". Built once per store
-  // (Put/UpdateInPlace/PutPlan/PatchPlan) so a cache hit assembles its HTTP
-  // header block by appending this span — Vcache's complete-entity caching:
+  // (Put/PutPlan/PatchPlan) so a cache hit assembles its HTTP header block
+  // by appending this span — Vcache's complete-entity caching:
   // no per-request itoa, no per-request length math. The version line is
   // the ETag-style change stamp.
   std::string entity_headers;
@@ -175,8 +175,8 @@ class ObjectCache {
     // Consulted on TryLookup ({"cache", <instance>, "lookup"}). Null = off.
     fault::FaultInjector* faults = nullptr;
     // Registry + instance label for the nagano_cache_* metrics. An empty
-    // instance gets a unique auto-assigned label so two caches (fleet
-    // nodes, test fixtures) never alias each other's cells.
+    // instance gets a unique auto-assigned label so two caches (replica
+    // sites, test fixtures) never alias each other's cells.
     metrics::Options metrics;
 
     Status Validate() const;
@@ -214,13 +214,6 @@ class ObjectCache {
   // version is ->version).
   std::shared_ptr<const CachedObject> Put(std::string_view key,
                                           std::string body);
-
-  // Update-in-place only if `key` is present; returns the new version, or 0
-  // without storing when the key is absent. The trigger monitor's
-  // concurrent re-render path uses this so a regeneration racing an
-  // invalidation can never resurrect a dropped entry; a stale-retained
-  // entry counts as absent for the same reason.
-  uint64_t UpdateInPlace(std::string_view key, std::string body);
 
   // Store a composition plan (ordered static chunks + pinned fragment
   // refs) under `key`. Same versioning and eviction semantics as Put; the
@@ -263,7 +256,7 @@ class ObjectCache {
   // Key-sorted (key, object) snapshot across all shards. Shards are locked
   // one at a time, so the snapshot is per-shard consistent — call at
   // quiescence for an exact image. Used by the consistency test suites and
-  // CacheFleet::AllNodesIdentical.
+  // ServingSite::VerifyCacheConsistency.
   std::vector<std::pair<std::string, std::shared_ptr<const CachedObject>>>
   Snapshot() const;
 

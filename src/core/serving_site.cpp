@@ -14,14 +14,6 @@ Status SiteOptions::Validate() const {
         "SiteOptions.shard_wals must be empty or carry one stream per "
         "db shard");
   }
-  if (wal != nullptr && !shard_wals.empty()) {
-    return InvalidArgumentError(
-        "SiteOptions: set wal or shard_wals, not both");
-  }
-  if (wal != nullptr && db_shards != 1) {
-    return InvalidArgumentError(
-        "SiteOptions: a sharded database takes shard_wals, not wal");
-  }
   return trigger.Validate();
 }
 
@@ -36,7 +28,6 @@ db::DatabaseOptions DbOptionsFor(const SiteOptions& options) {
   db_options.clock = options.clock ? options.clock : &RealClock::Instance();
   db_options.faults = options.faults;
   db_options.metrics = options.metrics;
-  db_options.wal = options.wal;
   db_options.shards = options.db_shards;
   db_options.shard_wals = options.shard_wals;
   db_options.change_log_retention = options.change_log_retention;
@@ -57,9 +48,9 @@ Result<std::unique_ptr<ServingSite>> ServingSite::Create(SiteOptions options) {
 
 Result<std::unique_ptr<ServingSite>> ServingSite::WarmRestart(
     SiteOptions options) {
-  if (options.wal == nullptr && options.shard_wals.empty()) {
+  if (options.shard_wals.empty()) {
     return InvalidArgumentError(
-        "WarmRestart: SiteOptions.wal (or shard_wals) is required");
+        "WarmRestart: SiteOptions.shard_wals is required");
   }
   if (Status s = options.Validate(); !s.ok()) return s;
   auto database = std::make_unique<db::Database>(DbOptionsFor(options));
@@ -113,15 +104,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
                                            site->db_.get(),
                                            site->renderer_.get());
 
-  if (site->options_.serving_nodes > 0) {
-    cache::ObjectCache::Options node_options;
-    node_options.clock = site->clock_;
-    node_options.metrics = site_metrics;  // fleet appends "/nodeN"
-    site->fleet_ = std::make_unique<cache::CacheFleet>(
-        site->options_.serving_nodes, node_options);
-    site->options_.trigger.fleet = site->fleet_.get();
-  }
-
   db::Database* db_ptr = site->db_.get();
   site->options_.trigger.metrics = site_metrics;
   site->options_.trigger.clock = site->clock_;
@@ -138,17 +120,6 @@ Result<std::unique_ptr<ServingSite>> ServingSite::CreateAround(
   serve_options.metrics = site_metrics;
   site->page_server_ = std::make_unique<server::DynamicPageServer>(
       site->cache_.get(), site->renderer_.get(), serve_options);
-  if (site->fleet_ != nullptr) {
-    server::DynamicPageServer::Options node_serve_options = serve_options;
-    for (size_t n = 0; n < site->fleet_->size(); ++n) {
-      if (!site_metrics.instance.empty()) {
-        node_serve_options.metrics.instance =
-            site_metrics.instance + "/node" + std::to_string(n);
-      }
-      site->node_servers_.push_back(std::make_unique<server::DynamicPageServer>(
-          &site->fleet_->node(n), site->renderer_.get(), node_serve_options));
-    }
-  }
 
   return site;
 }
@@ -182,7 +153,7 @@ server::HealthReport ServingSite::Health() const {
                               "rotation");
   }
   // A warm-restarted site is alive but not ready: it must not take traffic
-  // (or pass /healthz) until it has caught up to the fleet.
+  // (or pass /healthz) until it has caught up with the master.
   if (!CaughtUp()) {
     report.problems.push_back(
         "warm restart in progress: recovered seqno " +
@@ -217,11 +188,9 @@ ServingSite::~ServingSite() {
 Result<size_t> ServingSite::PrefetchAll() {
   size_t cached = 0;
   auto prefetch = [&](const std::string& object) -> Status {
-    auto stored = renderer_->RenderAndCache(object);
-    if (!stored.ok()) return stored.status();
-    // Fleet mode: distribute the freshly composed copy to every serving
-    // node, as the SMP did to the eight UPs.
-    if (fleet_ != nullptr) fleet_->PutAll(object, stored.value()->Materialize());
+    if (auto stored = renderer_->RenderAndCache(object); !stored.ok()) {
+      return stored.status();
+    }
     ++cached;
     return Status::Ok();
   };
@@ -309,14 +278,6 @@ Result<size_t> ServingSite::VerifyCacheConsistency() {
   // surfaces somewhere in the sweep.
   for (const auto& [key, object] : cache_->Snapshot()) {
     if (Status s = verify_one(key, *object); !s.ok()) return s;
-  }
-  if (fleet_ != nullptr) {
-    if (!fleet_->AllNodesIdentical()) {
-      return InternalError("fleet nodes diverged");
-    }
-    for (const auto& [key, object] : fleet_->node(0).Snapshot()) {
-      if (Status s = verify_one(key, *object); !s.ok()) return s;
-    }
   }
   return checked;
 }

@@ -58,7 +58,7 @@ Status DispatcherCluster::StartNode(Node& node, bool warm) {
   node.wal = std::move(wal_or.value());
 
   core::SiteOptions site_options = SiteOptionsFor(node);
-  site_options.wal = node.wal.get();
+  site_options.shard_wals = {node.wal.get()};
   auto site_or = warm ? core::ServingSite::WarmRestart(std::move(site_options))
                       : core::ServingSite::Create(std::move(site_options));
   if (!site_or.ok()) return site_or.status();

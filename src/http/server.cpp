@@ -348,7 +348,7 @@ void HttpServer::SweepIdle(Reactor& r, TimeNs now) {
 
 void HttpServer::AcceptNew(Reactor& r, int listen_fd) {
   // In round-robin mode reactor 0 owns the only listener and deals accepted
-  // fds across the fleet; in reuse-port mode (and single-reactor setups)
+  // fds across the reactors; in reuse-port mode (and single-reactor setups)
   // whatever the kernel delivered here stays here.
   const bool distribute =
       resolved_mode_ == AcceptMode::kRoundRobin && reactors_.size() > 1;

@@ -326,11 +326,9 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
 
   auto regenerate = [&](const odg::AffectedObject& obj) -> Outcome {
     const std::string name(graph_->name(obj.id));
-    // Only refresh objects that are actually cached somewhere; uncached
-    // pages will be generated (with fresh data) on their next request.
-    const bool in_fleet =
-        options_.fleet != nullptr && options_.fleet->ContainsAnywhere(name);
-    if (!cache_->Contains(name) && !in_fleet) return Outcome::kSkipped;
+    // Only refresh objects that are actually cached; uncached pages will
+    // be generated (with fresh data) on their next request.
+    if (!cache_->Contains(name)) return Outcome::kSkipped;
 
     // Fragment-first fast path: the level barrier already refreshed every
     // fragment this page embeds, so the plan just re-pins them and
@@ -339,12 +337,6 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
         cached != nullptr && cached->is_plan() &&
         plan_patchable(obj, *cached) && cache_->PatchPlan(name) != 0) {
       patched.fetch_add(1, std::memory_order_relaxed);
-      // Fleet nodes hold flat copies; distribution materializes once.
-      if (options_.fleet != nullptr) {
-        if (const auto fresh = cache_->Peek(name)) {
-          options_.fleet->PutAll(name, fresh->Materialize());
-        }
-      }
       cells_.propagation_latency_ms->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
       return Outcome::kUpdated;
@@ -355,10 +347,6 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     if (!stored.ok()) return Outcome::kFailed;
     bytes_rerendered.fetch_add(stored.value()->entity_size(),
                                std::memory_order_relaxed);
-    // Fig. 6 distribution: push the fresh copy to every serving node.
-    if (options_.fleet != nullptr) {
-      options_.fleet->PutAll(name, stored.value()->Materialize());
-    }
     // The fresh body is now what readers see: stamp commit -> cache-visible.
     cells_.propagation_latency_ms->Observe(
         std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
@@ -430,7 +418,6 @@ void TriggerMonitor::ApplyInvalidate(const odg::DupResult& dup,
       cells_.propagation_latency_ms->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));
     }
-    if (options_.fleet != nullptr) options_.fleet->InvalidateAll(name);
   }
   cells_.objects_invalidated->Increment(invalidated);
 }
@@ -450,10 +437,7 @@ void TriggerMonitor::ApplyConservative(
   }
   std::sort(prefixes.begin(), prefixes.end());
   prefixes.erase(std::unique(prefixes.begin(), prefixes.end()), prefixes.end());
-  for (const auto& p : prefixes) {
-    invalidated += cache_->InvalidatePrefix(p);
-    if (options_.fleet != nullptr) options_.fleet->InvalidatePrefixAll(p);
-  }
+  for (const auto& p : prefixes) invalidated += cache_->InvalidatePrefix(p);
   cells_.objects_invalidated->Increment(invalidated);
   cells_.fanout->Observe(static_cast<double>(invalidated));
 }

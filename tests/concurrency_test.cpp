@@ -1,16 +1,16 @@
 // Concurrency stress suite for the structures on the trigger monitor's hot
-// path: ObjectCache shards, CacheFleet distribution, BlockingQueue, and
-// ThreadPool shutdown. These tests are labelled `stress` so the CI matrix
-// runs them under ThreadSanitizer (see ci.sh) — their value is as much the
-// interleavings they generate under TSan as the assertions they make.
+// path: ObjectCache shards, BlockingQueue, and ThreadPool shutdown. These
+// tests are labelled `stress` so the CI matrix runs them under
+// ThreadSanitizer (see ci.sh) — their value is as much the interleavings
+// they generate under TSan as the assertions they make.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "cache/fleet.h"
 #include "cache/object_cache.h"
 #include "common/queue.h"
 #include "common/thread_pool.h"
@@ -24,14 +24,31 @@ namespace nagano {
 namespace {
 
 std::string Key(int i) { return "/page/" + std::to_string(i); }
+std::string Frag(int i) { return "/frag/" + std::to_string(i); }
 
-// --- ObjectCache: readers racing Put / UpdateInPlace / Invalidate -----------
+// The plan [ "<p>" | frag:Frag(i) ] pinning `fragment`, Frag(i)'s snapshot.
+std::vector<cache::PlanChunk> PlanOver(
+    int i, std::shared_ptr<const cache::CachedObject> fragment) {
+  std::vector<cache::PlanChunk> plan(2);
+  plan[0].text = "<p>";
+  plan[1].fragment = Frag(i);
+  plan[1].fragment_version = fragment->version;
+  plan[1].source = std::move(fragment);
+  return plan;
+}
+
+// --- ObjectCache: readers racing Put / PatchPlan / Invalidate ---------------
 
 TEST(CacheConcurrencyTest, ReadersRacingPutUpdateInvalidate) {
   cache::ObjectCache cache;
   constexpr int kKeys = 64;
   constexpr int kWriterRounds = 400;
-  for (int i = 0; i < kKeys; ++i) cache.Put(Key(i), "seed");
+  // Even keys are flat pages; odd keys are composition plans over their
+  // own fragment, updated in place by fragment swap.
+  for (int i = 0; i < kKeys; i += 2) cache.Put(Key(i), "seed");
+  for (int i = 1; i < kKeys; i += 2) {
+    cache.PutPlan(Key(i), PlanOver(i, cache.Put(Frag(i), "frag-seed")));
+  }
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> lookups{0};
@@ -47,7 +64,7 @@ TEST(CacheConcurrencyTest, ReadersRacingPutUpdateInvalidate) {
           if (obj != nullptr) {
             // The snapshot a reader holds stays internally consistent even
             // while writers replace the entry.
-            EXPECT_FALSE(obj->body.empty());
+            EXPECT_GT(obj->entity_size(), 0u);
             EXPECT_GE(obj->version, 1u);
           }
         }
@@ -64,7 +81,14 @@ TEST(CacheConcurrencyTest, ReadersRacingPutUpdateInvalidate) {
   std::thread updater([&] {
     for (int r = 0; r < kWriterRounds; ++r) {
       for (int i = 1; i < kKeys; i += 2) {
-        cache.UpdateInPlace(Key(i), "upd-" + std::to_string(r));
+        // The trigger's fragment-first path: refresh the fragment, then
+        // re-pin it in the embedding plan. The patch aborts when the
+        // invalidator has replaced the plan with a flat page; the writer
+        // then stores a fresh plan, racing that invalidator again.
+        auto fragment = cache.Put(Frag(i), "frag-" + std::to_string(r));
+        if (cache.PatchPlan(Key(i)) == 0) {
+          cache.PutPlan(Key(i), PlanOver(i, std::move(fragment)));
+        }
       }
     }
   });
@@ -91,6 +115,7 @@ TEST(CacheConcurrencyTest, ReadersRacingPutUpdateInvalidate) {
             stats.entries);
   EXPECT_EQ(stats.entries, cache.Snapshot().size());
   EXPECT_GT(stats.updates_in_place, 0u);
+  EXPECT_GT(stats.plans_patched, 0u);
   EXPECT_EQ(stats.evictions, 0u);  // unbounded configuration
 }
 
@@ -140,53 +165,6 @@ TEST(CacheConcurrencyTest, PinnedEntriesSurviveEvictionChurn) {
   for (int i = 0; i < kHot; ++i) {
     EXPECT_TRUE(cache.Contains(hot_key(i))) << hot_key(i);
   }
-}
-
-// --- CacheFleet: distribution racing per-node reads -------------------------
-
-TEST(FleetConcurrencyTest, PutAllInvalidateAllRacingNodeGets) {
-  cache::CacheFleet fleet(4);
-  constexpr int kKeys = 32;
-  for (int i = 0; i < kKeys; ++i) fleet.PutAll(Key(i), "seed");
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (size_t node = 0; node < fleet.size(); ++node) {
-    readers.emplace_back([&, node] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        for (int i = 0; i < kKeys; ++i) {
-          auto obj = fleet.node(node).Lookup(Key(i));
-          if (obj != nullptr) {
-            // Every observable body is one a distributor actually wrote.
-            EXPECT_TRUE(obj->body == "seed" || obj->body == "final" ||
-                        obj->body.starts_with("v"));
-          }
-        }
-      }
-    });
-  }
-
-  std::thread distributor([&] {
-    for (int round = 0; round < 300; ++round) {
-      for (int i = 0; i < kKeys; ++i) {
-        fleet.PutAll(Key(i), "v" + std::to_string(round));
-      }
-      if (round % 7 == 0) {
-        fleet.InvalidateAll(Key(round % kKeys));
-      }
-    }
-    // Converge: one final full push.
-    for (int i = 0; i < kKeys; ++i) fleet.PutAll(Key(i), "final");
-  });
-
-  distributor.join();
-  stop.store(true);
-  for (auto& t : readers) t.join();
-
-  EXPECT_TRUE(fleet.AllNodesIdentical());
-  const cache::CacheStats total = fleet.TotalStats();
-  EXPECT_EQ(total.entries, kKeys * fleet.size());
-  EXPECT_GT(total.updates_in_place, 0u);
 }
 
 // --- BlockingQueue: MPMC with exact accounting ------------------------------

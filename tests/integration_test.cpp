@@ -34,6 +34,24 @@ SiteOptions SmallSite(trigger::CachePolicy policy) {
   return options;
 }
 
+TEST(ServingSiteTest, WarmRestartNeedsOneWalPerShard) {
+  // Without WAL streams there is nothing to recover from.
+  const auto no_wals = ServingSite::WarmRestart(
+      SmallSite(trigger::CachePolicy::kDupUpdateInPlace));
+  EXPECT_EQ(no_wals.status().code(), ErrorCode::kInvalidArgument);
+
+  // shard_wals carries exactly one stream per database shard.
+  wal::WriteAheadLog* fake = reinterpret_cast<wal::WriteAheadLog*>(0x1);
+  SiteOptions options = SmallSite(trigger::CachePolicy::kDupUpdateInPlace);
+  options.db_shards = 2;
+  options.shard_wals = {fake};
+  EXPECT_EQ(options.Validate().code(), ErrorCode::kInvalidArgument);
+  options.shard_wals = {fake, fake, fake};
+  EXPECT_EQ(options.Validate().code(), ErrorCode::kInvalidArgument);
+  options.shard_wals = {fake, fake};
+  EXPECT_TRUE(options.Validate().ok());
+}
+
 TEST(ServingSiteTest, CreateAndPrefetch) {
   auto site = ServingSite::Create(SmallSite(trigger::CachePolicy::kDupUpdateInPlace));
   ASSERT_TRUE(site.ok());

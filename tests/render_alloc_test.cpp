@@ -8,6 +8,10 @@
 // the ODG re-sync when the dependencies are unchanged, so the counts are
 // small and repeat exactly; a change that reintroduces per-variable strings,
 // row copies or per-dependency names shows here without any timing.
+//
+// The same counter checks the serving path's miss: a cache miss is the
+// common case under a bounded cache, and ObjectCache::TryLookup answers it
+// without touching the heap.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +20,7 @@
 #include <new>
 #include <string>
 
+#include "cache/object_cache.h"
 #include "core/serving_site.h"
 
 namespace {
@@ -89,6 +94,19 @@ TEST_F(RenderAllocTest, CountryPage) {
 
 TEST_F(RenderAllocTest, DayPage) {
   EXPECT_LE(AllocationsPerRender("/day/3"), 34u);
+}
+
+TEST(CacheMissAllocTest, TryLookupMissAllocatesNothing) {
+  cache::ObjectCache cache;
+  cache.Put("/event/7", "<html>event 7</html>");
+  // Longer than any small-string buffer, so a message naming the key
+  // would have to allocate.
+  const std::string absent = "/athlete/" + std::string(40, '9');
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const auto miss = cache.TryLookup(absent);
+  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(miss.status().code(), ErrorCode::kNotFound);
+  EXPECT_EQ(after - before, 0u);
 }
 
 }  // namespace
