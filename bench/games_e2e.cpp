@@ -51,7 +51,10 @@ int main() {
   db::Database* master = master_db.get();
 
   // Replication tree with the paper's topology and transpacific lags.
-  replication::ReplicationTopology replication_tree(&clock);
+  replication::ReplicationOptions replication_options;
+  replication_options.clock = &clock;
+  replication::ReplicationTopology replication_tree(
+      std::move(replication_options));
   if (!replication_tree.AddNode("Nagano", master).ok()) return 1;
 
   const std::vector<std::string>& complexes = workload::Complexes();

@@ -16,6 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
+ROOT="${PWD}"
 
 run_leg() {
   local leg="$1" sanitize="$2" ctest_args="$3"
@@ -29,6 +30,22 @@ run_leg() {
   # shellcheck disable=SC2086
   (cd "${tree}" && ctest --output-on-failure -j "${JOBS}" ${ctest_args})
   echo "=== [${leg}] OK ==="
+}
+
+# Configures the plain tree and builds one bench target in it.
+build_bench() {
+  local leg="$1" target="$2"
+  echo "=== [${leg}] configure ==="
+  cmake -B build-ci-plain -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DNAGANO_SANITIZE="" > /dev/null
+  echo "=== [${leg}] build ==="
+  cmake --build build-ci-plain -j "${JOBS}" --target "${target}" -- -k > /dev/null
+}
+# Runs a bench gate with the plain tree as its working directory: whatever
+# the bench writes there stays in the build tree, so a gate run never
+# rewrites a committed BENCH_*.json. Baselines are passed by absolute path.
+run_gate() {
+  (cd build-ci-plain && "$@")
 }
 
 leg_plain() { run_leg plain "" ""; }
@@ -68,14 +85,9 @@ leg_durability() { run_leg asan "address,undefined" "-L durability"; }
 leg_flashcrowd() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L flashcrowd"
-  local tree="build-ci-plain"
-  echo "=== [flashcrowd] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [flashcrowd] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target flash_crowd -- -k > /dev/null
+  build_bench flashcrowd flash_crowd
   echo "=== [flashcrowd] smoke gate vs BENCH_flashcrowd.json ==="
-  "${tree}/bench/flash_crowd" --quick --baseline=BENCH_flashcrowd.json
+  run_gate bench/flash_crowd --quick --baseline="${ROOT}/BENCH_flashcrowd.json"
   echo "=== [flashcrowd] OK ==="
 }
 # Fragments leg: the composition-plan suites (plan cache, fragment DUP
@@ -88,14 +100,9 @@ leg_flashcrowd() {
 leg_fragments() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L fragments"
-  local tree="build-ci-plain"
-  echo "=== [fragments] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [fragments] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target update_latency -- -k > /dev/null
+  build_bench fragments update_latency
   echo "=== [fragments] fanout-bytes quick gate ==="
-  "${tree}/bench/update_latency" --quick
+  run_gate bench/update_latency --quick
   echo "=== [fragments] OK ==="
 }
 # Sharding leg: the sharded-storage / parallel-recovery suites raced under
@@ -109,14 +116,9 @@ leg_fragments() {
 leg_sharding() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L sharding"
-  local tree="build-ci-plain"
-  echo "=== [sharding] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [sharding] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target recovery_time -- -k > /dev/null
+  build_bench sharding recovery_time
   echo "=== [sharding] parallel-recovery quick gate ==="
-  "${tree}/bench/recovery_time" --quick
+  run_gate bench/recovery_time --quick
   echo "=== [sharding] OK ==="
 }
 # Dispatch leg: the dispatcher-tier suites (weighted P2C routing, advisor
@@ -125,34 +127,26 @@ leg_sharding() {
 # so a race there misroutes traffic. Then the AVAIL bench's quick gate on
 # a plain tree: a live dispatcher + 3 real-TCP backends must hold >= 99%
 # availability through a hard kill and a rolling upgrade, with the clean
-# drain losing zero requests (writes BENCH_dispatch.json). Shares the tsan
-# and plain trees.
+# drain losing zero requests (the BENCH_dispatch.json it writes stays in
+# the build tree). Shares the tsan and plain trees.
 leg_dispatch() {
   TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
     run_leg tsan "thread" "-L dispatch"
-  local tree="build-ci-plain"
-  echo "=== [dispatch] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [dispatch] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target failover_availability -- -k > /dev/null
+  build_bench dispatch failover_availability
   echo "=== [dispatch] real-TCP availability quick gate ==="
-  "${tree}/bench/failover_availability" --quick
+  run_gate bench/failover_availability --quick
   echo "=== [dispatch] OK ==="
 }
 # Throughput smoke: one short cache-hit sweep against the committed
 # baseline (BENCH_throughput.json). The bench exits non-zero if the
-# single-reactor hit rate regresses more than 20% below the baseline or
-# if a cache-hit response copies its body. Shares the plain tree.
+# single-reactor hit rate regresses more than 20% below the baseline, if
+# the baseline is missing, if a request fails or if a cache-hit response
+# copies its body. Shares the plain tree.
 leg_throughput() {
-  local tree="build-ci-plain"
-  echo "=== [throughput] configure ==="
-  cmake -B "${tree}" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNAGANO_SANITIZE="" > /dev/null
-  echo "=== [throughput] build ==="
-  cmake --build "${tree}" -j "${JOBS}" --target throughput_server -- -k > /dev/null
+  build_bench throughput throughput_server
   echo "=== [throughput] smoke sweep vs BENCH_throughput.json ==="
-  "${tree}/bench/throughput_server" --quick --baseline=BENCH_throughput.json
+  run_gate bench/throughput_server --quick \
+    --baseline="${ROOT}/BENCH_throughput.json"
   echo "=== [throughput] OK ==="
 }
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 #include <utility>
 
 namespace nagano::dispatch {
@@ -252,7 +253,11 @@ Result<http::HttpResponse> Dispatcher::Forward(
 http::HttpResponse Dispatcher::Proxy(const http::HttpRequest& request,
                                      http::ConnectionContext& ctx) {
   cells_.requests->Increment();
-  if (request.Path() == "/dispatchz") return DispatchzPage();
+  // The path part of the target, compared in place (Path() would copy it).
+  const std::string_view target = request.target;
+  if (target.substr(0, target.find('?')) == "/dispatchz") {
+    return DispatchzPage();
+  }
 
   // Per-reactor-thread draw stream; the seed offset keeps threads unrelated.
   static std::atomic<uint64_t> thread_counter{0};

@@ -61,9 +61,6 @@ struct ReplicationOptions : OptionsBase {
 class ReplicationTopology {
  public:
   explicit ReplicationTopology(ReplicationOptions options);
-  // Legacy convenience signature; equivalent to options carrying `clock`.
-  explicit ReplicationTopology(const Clock* clock)
-      : ReplicationTopology(WithClock(clock)) {}
 
   // Registers a node. The database must already contain the schema (every
   // replica starts from the same empty schema; the log replays content).
@@ -123,12 +120,6 @@ class ReplicationTopology {
     db::ChangeCursor cursor;
     bool cursor_valid = false;
   };
-
-  static ReplicationOptions WithClock(const Clock* clock) {
-    ReplicationOptions options;
-    options.clock = clock;
-    return options;
-  }
 
   Node* FindNode(std::string_view name);
   const Node* FindNode(std::string_view name) const;

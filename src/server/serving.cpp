@@ -472,8 +472,7 @@ http::HttpResponse HttpFrontEnd::Handle(const http::HttpRequest& request) {
   // include_body=false: cached sources answer with body_ref/entity_headers
   // aliased into the cached object (the zero-copy hit path); generated
   // pages arrive moved into outcome.body either way.
-  ServeOutcome outcome =
-      program_->Serve(request.Path(), /*include_body=*/false);
+  ServeOutcome outcome = program_->Serve(path, /*include_body=*/false);
   const auto fill_entity = [&request, &outcome](http::HttpResponse& r) {
     if (request.method == "HEAD") return;  // keep Content-Length: 0
     if (outcome.body_ref != nullptr || !outcome.body_chunks.empty()) {

@@ -328,14 +328,14 @@ void TriggerMonitor::ApplyUpdateInPlace(const odg::DupResult& dup,
     const std::string name(graph_->name(obj.id));
     // Only refresh objects that are actually cached; uncached pages will
     // be generated (with fresh data) on their next request.
-    if (!cache_->Contains(name)) return Outcome::kSkipped;
+    const auto cached = cache_->Peek(name);
+    if (cached == nullptr) return Outcome::kSkipped;
 
     // Fragment-first fast path: the level barrier already refreshed every
     // fragment this page embeds, so the plan just re-pins them and
     // recomputes its entity headers — no generator run, ~zero fanout bytes.
-    if (const auto cached = cache_->Peek(name);
-        cached != nullptr && cached->is_plan() &&
-        plan_patchable(obj, *cached) && cache_->PatchPlan(name) != 0) {
+    if (cached->is_plan() && plan_patchable(obj, *cached) &&
+        cache_->PatchPlan(name) != 0) {
       patched.fetch_add(1, std::memory_order_relaxed);
       cells_.propagation_latency_ms->Observe(
           std::max(0.0, ToMillis(clock_->Now() - oldest_commit)));

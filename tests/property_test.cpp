@@ -295,7 +295,9 @@ class ReplicationChaosTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(ReplicationChaosTest, ConvergesAfterArbitraryInterleaving) {
   Rng rng(GetParam());
   SimClock clock;
-  replication::ReplicationTopology topology(&clock);
+  replication::ReplicationOptions replication_options;
+  replication_options.clock = &clock;
+  replication::ReplicationTopology topology(std::move(replication_options));
 
   std::map<std::string, std::unique_ptr<db::Database>> dbs;
   const std::vector<std::string> nodes = {"master", "a", "b", "a1", "a2"};

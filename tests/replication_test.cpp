@@ -61,7 +61,11 @@ class ReplicationTest : public ::testing::Test {
 
   SimClock clock_{0};
   std::map<std::string, std::unique_ptr<Database>> dbs_;
-  ReplicationTopology topology_{&clock_};
+  ReplicationTopology topology_{[this] {
+    ReplicationOptions options;
+    options.clock = &clock_;
+    return options;
+  }()};
 };
 
 TEST_F(ReplicationTest, AddNodeValidation) {
